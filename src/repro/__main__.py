@@ -94,11 +94,6 @@ def _apply_execution_flags(args) -> None:
     sampler = getattr(args, "sampler", None)
     if sampler:
         os.environ["REPRO_SAMPLER"] = sampler
-    if getattr(args, "hier", False):
-        os.environ["REPRO_HIER"] = "1"
-    hier_blocks = getattr(args, "hier_blocks", None)
-    if hier_blocks:
-        os.environ["REPRO_HIER_BLOCKS"] = str(hier_blocks)
 
 
 def _load_timing(name: str, samples: int, seed: int):
@@ -479,7 +474,6 @@ def cmd_serve(args) -> int:
         cache=args.cache_dir or None,
         parallel=args.parallel or None,
         sampler=args.sampler or None,
-        hier=args.hier or None,
     )
     for benchmark in args.benchmarks:
         workload, _model = standard_workload(
@@ -620,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--parallel",
-            choices=("serial", "process", "futures", "thread"),
+            choices=("serial", "process", "thread"),
             default="",
             help="dictionary-construction backend (default: serial)",
         )
@@ -667,18 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
             "importance sampling, 'adaptive' adds per-suspect sample "
             "allocation — both variance-reduction modes, bit-reproducible "
             "at fixed seed)",
-        )
-        p.add_argument(
-            "--hier", action="store_true",
-            help="build dictionaries through hierarchical block timing "
-            "models (partition once, extract per-block interface models, "
-            "replay per block; bit-identical to the flat build, shards "
-            "parallel work by block)",
-        )
-        p.add_argument(
-            "--hier-blocks", type=_positive_int, default=None,
-            dest="hier_blocks", metavar="N",
-            help="block count for --hier (default: depth-scaled heuristic)",
         )
         p.add_argument(
             "--metrics", type=str, default="", metavar="OUT.json",
@@ -914,8 +896,7 @@ def _run_config(args) -> dict:
     config = {}
     for field in ("samples", "trials", "paths", "parallel", "workers",
                   "chunk_size", "cache_dir", "cache_max_entries", "retries",
-                  "chunk_timeout", "checkpoint", "sampler", "hier",
-                  "hier_blocks"):
+                  "chunk_timeout", "checkpoint", "sampler"):
         value = getattr(args, field, None)
         if value not in (None, "", False):
             config[field] = value

@@ -123,8 +123,8 @@ PROFILES: Dict[str, BenchmarkProfile] = {
         BenchmarkProfile("s9234", 36, 39, 211, 5597, target_depth=20, default_scale=0.3),
         BenchmarkProfile("s13207", 62, 152, 638, 8589, target_depth=20, default_scale=0.2),
         BenchmarkProfile("s15850", 77, 150, 534, 10369, target_depth=22, default_scale=0.18),
-        # Beyond Table I: the largest ISCAS89 profile the hierarchical
-        # block engine is benchmarked on (BENCH_hier.json).
+        # Beyond Table I: the largest ISCAS89 profile, the scale preset
+        # behind s38417_profile_config.
         BenchmarkProfile("s38417", 28, 106, 1636, 23815, target_depth=28, default_scale=0.08),
         # ISCAS85 (combinational)
         BenchmarkProfile("c432", 36, 7, 0, 160, target_depth=16),

@@ -33,8 +33,8 @@ from .netlist import Circuit
 
 __all__ = ["GeneratorConfig", "generate_circuit", "s38417_profile_config"]
 
-#: Pinned default seed of the s38417-profile preset: the exact circuit
-#: BENCH_hier.json benchmarks, reproducible from any checkout.
+#: Pinned default seed of the s38417-profile preset: the exact scale
+#: circuit, reproducible from any checkout.
 S38417_PRESET_SEED = 38417
 
 #: Default gate-type mix (probability weights), loosely matching the ISCAS89
@@ -97,10 +97,9 @@ def s38417_profile_config(
     """Generator preset matching the published s38417 profile.
 
     The largest ISCAS89 circuit (28 PI, 106 PO, 1636 DFFs, ~23.8k
-    combinational gates — a 1664-in / 1742-out scan view), the scale the
-    hierarchical block engine exists for.  The default seed is pinned so
-    every checkout generates the identical ~20k+ gate circuit that
-    ``benchmarks/bench_hier.py`` times; ``scale`` shrinks the gate count
+    combinational gates — a 1664-in / 1742-out scan view), the largest
+    scale preset.  The default seed is pinned so every checkout generates
+    the identical ~20k+ gate circuit; ``scale`` shrinks the gate count
     proportionally for smoke tests (the scan interface keeps its full
     width either way, exactly like :class:`BenchmarkProfile` scaling).
     """

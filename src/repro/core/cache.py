@@ -77,7 +77,7 @@ def _array_bytes(array: np.ndarray) -> bytes:
 #: are immutable once built (the whole content-address scheme already
 #: relies on that), so a digest can be computed once per object instead
 #: of re-walking a 20k-gate netlist / re-hashing the delay matrix on
-#: every cache-key, partition or block-model lookup.
+#: every cache-key lookup.
 _CIRCUIT_FINGERPRINTS: "weakref.WeakKeyDictionary[Circuit, str]" = (
     weakref.WeakKeyDictionary()
 )
@@ -149,21 +149,13 @@ def dictionary_cache_key(
     suspects: Sequence[Edge],
     size_samples: np.ndarray,
     sampler_token: Optional[str] = None,
-    hier_token: Optional[str] = None,
 ) -> str:
     """The content address of one dictionary build.
 
     ``sampler_token`` folds a non-plain sampler configuration into the
     address (:meth:`repro.sampling.SamplerConfig.cache_token`); plain
     builds pass ``None`` so their keys stay byte-identical to keys
-    written before the sampling subsystem existed.  ``hier_token``
-    (:meth:`repro.hier.HierConfig.cache_token`) does the same for
-    hierarchically-built dictionaries: the bytes are bit-identical to
-    flat builds by contract, but the token — which includes the
-    partition fingerprint — records the construction path, keeping the
-    ``K901`` cache-key completeness invariant (every parameter reaching
-    the build job is keyed) and making a partition change auditable in
-    the store.  Flat builds pass ``None`` and keep their historic keys.
+    written before the sampling subsystem existed.
     """
     hasher = hashlib.sha256()
     hasher.update(timing_fingerprint(timing).encode())
@@ -175,8 +167,6 @@ def dictionary_cache_key(
     hasher.update(_array_bytes(np.asarray(size_samples, dtype=float)))
     if sampler_token is not None:
         hasher.update(sampler_token.encode())
-    if hier_token is not None:
-        hasher.update(hier_token.encode())
     return hasher.hexdigest()
 
 

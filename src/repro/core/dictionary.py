@@ -65,15 +65,6 @@ from ..sampling import (
     resolve_sampler,
 )
 from .. import obs
-from ..hier.extract import extract_block_models
-from ..hier.partition import block_chunks, partition_circuit
-from ..hier.replay import (
-    HierConfig,
-    HierReplayJob,
-    annotate_plan,
-    hier_signatures_for_chunk,
-    resolve_hier,
-)
 from .cache import DictionaryCache, dictionary_cache_key, resolve_cache
 from .parallel import ParallelConfig, map_chunked, resolve_parallel
 
@@ -444,60 +435,6 @@ def _sampled_signatures_for_chunk(
     return results
 
 
-def _hier_signature_list(
-    timing: CircuitTiming,
-    pattern_list: List,
-    block_graph,
-    job: _SignatureJob,
-    parallel,
-    chunks: Optional[List[List[int]]],
-    directory: Optional[str],
-) -> List[np.ndarray]:
-    """Plain signatures through the hierarchical block-replay engine.
-
-    Extracts (or loads) the partition's interface models, annotates each
-    sink's flat activity plan with its block truncations, and fans the
-    block-sharded chunks out through
-    :func:`repro.hier.replay.hier_signatures_for_chunk`.  ``directory``
-    (the dictionary store's, when one is configured) is purely
-    transport: it decides whether process workers re-map the persisted
-    model stack instead of receiving pickled copies, never what any
-    signature byte is — dictionary bytes stay bit-identical to the flat
-    path with or without it.
-    """
-    recorder = obs.get_recorder()
-    n_patterns = len(job.base_simulations)
-    with recorder.span("dictionary.hier_extract"):
-        models = extract_block_models(
-            timing,
-            pattern_list,
-            job.base_simulations,
-            block_graph,
-            directory=directory,
-        )
-    hier_plans = {
-        sink: annotate_plan(block_graph, sink, cone, activity)
-        for sink, (cone, activity) in job.plan_by_sink.items()
-    }
-    hier_job = HierReplayJob(
-        base_simulations=job.base_simulations,
-        clks=job.clks,
-        size_samples=job.size_samples,
-        suspects=job.suspects,
-        edge_indices=job.edge_indices,
-        m_crt=job.m_crt,
-        plans=hier_plans,
-        model_ref=models.store_ref(),
-    )
-    with recorder.span("dictionary.signatures"):
-        return map_chunked(
-            hier_signatures_for_chunk, hier_job, len(job.suspects),
-            resolve_parallel(parallel),
-            work_per_item=n_patterns * timing.space.n_samples,
-            chunks=chunks,
-        )
-
-
 def build_multi_clock_dictionary(
     timing: CircuitTiming,
     patterns: Union[PatternPairSet, Sequence],
@@ -510,7 +447,6 @@ def build_multi_clock_dictionary(
     clk_attribute: Optional[float] = None,
     sampler: Optional[Union[SamplerConfig, str]] = None,
     size_distribution: Optional[SizeDistribution] = None,
-    hier: Optional[Union[HierConfig, bool, str]] = None,
 ) -> ProbabilisticFaultDictionary:
     """The shared construction kernel behind single-clock dictionaries and
     clock sweeps.
@@ -534,23 +470,9 @@ def build_multi_clock_dictionary(
     (it never depends on defect sizes).  Non-plain cache keys include the
     sampler configuration; cache-served results drop the
     ``sampling_report``.
-
-    ``hier`` opts into hierarchical block construction
-    (:func:`repro.hier.resolve_hier` semantics — a
-    :class:`~repro.hier.HierConfig`, a bool, or the ``REPRO_HIER``
-    environment; default off).  The circuit is partitioned into
-    levelized blocks, per-suspect replays are truncated to the block
-    prefix a pattern can observe the suspect through
-    (:mod:`repro.hier.replay` — bit-identical to flat by the level-
-    monotonicity argument there), work is sharded by block instead of
-    by suspect count, and the per-pattern interface models are
-    extracted once through the store's mmap path so process-pool
-    workers attach pages instead of unpickling matrices.  Hierarchical
-    cache keys carry the partition-fingerprinted ``hier_token``.
     """
     circuit = timing.circuit
     sampler_config = resolve_sampler(sampler)
-    hier_config = resolve_hier(hier)
     sampled = not sampler_config.is_plain
     if sampled and size_distribution is None:
         raise ValueError(
@@ -569,11 +491,6 @@ def build_multi_clock_dictionary(
         clk_attribute = min(clks)
     suspects = list(suspects)
     pattern_list = list(patterns)
-    block_graph = None
-    hier_token = None
-    if hier_config.enabled:
-        block_graph = partition_circuit(circuit, hier_config.n_blocks)
-        hier_token = hier_config.cache_token(block_graph)
 
     def _assemble(
         m_crt: np.ndarray,
@@ -609,7 +526,6 @@ def build_multi_clock_dictionary(
                         if sampled
                         else None
                     ),
-                    hier_token=hier_token,
                 )
                 payload = store.load(key)
             if payload is not None:
@@ -659,18 +575,6 @@ def build_multi_clock_dictionary(
             m_crt=m_crt,
             plan_by_sink=plan_by_sink,
         )
-        hier_chunks = None
-        if block_graph is not None:
-            # Block-sized shards: `work_per_item` becomes the block gate
-            # count x patterns x samples, so chunks are few and coarse —
-            # the granularity that amortizes process-pool dispatch.
-            hier_chunks = block_chunks(
-                block_graph, suspects,
-                work_per_gate=n_patterns * timing.space.n_samples,
-            )
-            recorder.count("hier.builds")
-            recorder.count("hier.blocks", block_graph.n_blocks)
-            recorder.count("hier.chunks", len(hier_chunks))
         sampling_report: Optional[Dict] = None
         if sampled:
             sampled_job = _SampledSignatureJob(
@@ -681,16 +585,10 @@ def build_multi_clock_dictionary(
                 round_size=timing.space.n_samples,
             )
             with recorder.span("dictionary.signatures"):
-                # Sampled estimates depend only on per-suspect spawn-key
-                # streams (global suspect index), never on chunk
-                # membership, so block sharding regroups the fan-out
-                # without touching a single draw — bit-identical by
-                # construction.
                 records = map_chunked(
                     _sampled_signatures_for_chunk, sampled_job, len(suspects),
                     resolve_parallel(parallel),
                     work_per_item=n_patterns * timing.space.n_samples,
-                    chunks=hier_chunks,
                 )
             signature_list = [record.signature for record in records]
             samples_per_suspect = [record.samples_spent for record in records]
@@ -731,18 +629,6 @@ def build_multi_clock_dictionary(
                         "sampling.samples_per_suspect",
                         np.array(samples_per_suspect, dtype=float),
                     )
-        elif block_graph is not None:
-            # Hierarchical path: extract the per-block interface models
-            # once (mmap-persisted next to the dictionary store), then
-            # replay each suspect only through the block prefix its
-            # patterns can observe it in.  Bit-identical to the flat
-            # branch below — see repro.hier.replay for the argument.
-            signature_list = _hier_signature_list(
-                timing, pattern_list, block_graph, job, parallel,
-                hier_chunks,
-                getattr(store, "directory", None) if store is not None
-                else None,
-            )
         else:
             with recorder.span("dictionary.signatures"):
                 # The cost hint makes auto-chunking work-aware: chunks
@@ -782,7 +668,6 @@ def build_dictionary(
     cache: Optional[Union[DictionaryCache, str]] = None,
     sampler: Optional[Union[SamplerConfig, str]] = None,
     size_distribution: Optional[SizeDistribution] = None,
-    hier: Optional[Union[HierConfig, bool, str]] = None,
 ) -> ProbabilisticFaultDictionary:
     """Build the dictionary for the given suspect set.
 
@@ -793,9 +678,8 @@ def build_dictionary(
     defect-free runs.  ``parallel`` / ``cache`` opt into the worker-pool
     and on-disk-cache layers; both produce bit-identical dictionaries to
     a plain serial build.  ``sampler`` / ``size_distribution`` select the
-    variance-reduced signature estimator, and ``hier`` toggles the
-    block-partitioned build
-    (:func:`build_multi_clock_dictionary` semantics for all three).
+    variance-reduced signature estimator
+    (:func:`build_multi_clock_dictionary` semantics for both).
     """
     return build_multi_clock_dictionary(
         timing,
@@ -809,5 +693,4 @@ def build_dictionary(
         clk_attribute=clk,
         sampler=sampler,
         size_distribution=size_distribution,
-        hier=hier,
     )

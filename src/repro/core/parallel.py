@@ -7,8 +7,8 @@ same shape covers per-pattern base simulation.  This module provides the
 executor abstraction those loops fan out through:
 
 * ``serial`` — plain in-process loop (the default; zero overhead),
-* ``process`` / ``futures`` — a ``concurrent.futures.ProcessPoolExecutor``
-  of worker processes (two names kept for config compatibility),
+* ``process`` — a ``concurrent.futures.ProcessPoolExecutor`` of worker
+  processes,
 * ``thread`` — ``concurrent.futures.ThreadPoolExecutor`` (no pickling;
   useful when the payload is huge and the work releases the GIL).
 
@@ -72,7 +72,7 @@ __all__ = [
 T = TypeVar("T")
 
 #: Recognised backend names.
-BACKENDS = ("serial", "process", "futures", "thread")
+BACKENDS = ("serial", "process", "thread")
 
 #: Environment knobs (also set by the CLI flags in ``repro.__main__``).
 ENV_BACKEND = "REPRO_PARALLEL_BACKEND"
@@ -460,7 +460,6 @@ def map_chunked(
     config: Optional[Union[ParallelConfig, str]] = None,
     policy: Optional[RetryPolicy] = None,
     work_per_item: Optional[float] = None,
-    chunks: Optional[List[Sequence[int]]] = None,
 ) -> List:
     """Run ``fn(payload, indices)`` over chunked indices; flatten in order.
 
@@ -474,15 +473,6 @@ def map_chunked(
     that lets auto-chunking respect :data:`MIN_CHUNK_WORK`; it never
     changes results, only how indices group into tasks.
 
-    ``chunks`` hands the sharding to the caller entirely: an explicit
-    list of index groups (hierarchical builds pass block-grouped suspect
-    indices from :func:`repro.hier.block_chunks`), possibly
-    non-contiguous, that together must cover ``range(n_items)`` exactly
-    once.  Results are scattered back by item index, so explicit shards
-    preserve the serial result order no matter how they carve the index
-    space.  Mutually exclusive in spirit with ``chunk_size`` /
-    ``work_per_item``, which are ignored when ``chunks`` is given.
-
     ``policy`` (a :class:`repro.resilience.RetryPolicy`; defaults to the
     ``REPRO_RETRY_*`` environment) adds per-chunk retries with
     deterministic backoff, per-chunk deadlines and graceful degradation
@@ -492,18 +482,9 @@ def map_chunked(
     config = resolve_parallel(config)
     policy = resolve_retry(policy)
     recorder = obs.get_recorder()
-    explicit = chunks is not None
-    if explicit:
-        chunks = [list(chunk) for chunk in chunks if len(chunk)]
-        covered = sorted(index for chunk in chunks for index in chunk)
-        if covered != list(range(n_items)):
-            raise ValueError(
-                "explicit chunks must cover range(n_items) exactly once"
-            )
-    else:
-        chunks = chunk_indices(
-            n_items, config.chunk_size, config.workers, work_per_item
-        )
+    chunks = chunk_indices(
+        n_items, config.chunk_size, config.workers, work_per_item
+    )
     if not chunks:
         return []
 
@@ -519,7 +500,7 @@ def map_chunked(
             )
         recorder.count("parallel.serial.chunks", len(chunks))
         recorder.count("parallel.serial.items", n_items)
-        return _flatten(results, recorder, chunks if explicit else None, n_items)
+        return _flatten(results, recorder)
 
     workers = min(config.workers, len(chunks))
     ladder = policy.ladder(config.backend)
@@ -561,36 +542,19 @@ def map_chunked(
     recorder.count(f"parallel.{config.backend}.chunks", len(chunks))
     recorder.count(f"parallel.{config.backend}.items", n_items)
     recorder.gauge("parallel.workers", workers)
-    return _flatten(results, recorder, chunks if explicit else None, n_items)
+    return _flatten(results, recorder)
 
 
-def _flatten(
-    results: List,
-    recorder,
-    chunks: Optional[List[Sequence[int]]] = None,
-    n_items: int = 0,
-) -> List:
-    """Reassemble chunk results; scatter by index for explicit chunks.
+def _flatten(results: List, recorder) -> List:
+    """Reassemble chunk results in chunk (= item) order.
 
-    Auto-chunking produces contiguous ascending ranges, so concatenation
-    in chunk order is already item order.  Explicit (caller-provided)
-    chunks may interleave the index space arbitrarily; their results are
-    scattered into an item-indexed list so downstream reductions still
-    see exactly the serial ordering.
+    Chunks are contiguous ascending ranges, so concatenation in chunk
+    order is already item order.
     """
-    if chunks is None:
-        flattened = []
-        for chunk_result in results:
-            if isinstance(chunk_result, _MetricsShard):
-                recorder.merge(chunk_result.metrics)
-                chunk_result = chunk_result.items
-            flattened.extend(chunk_result)
-        return flattened
-    scattered: List = [_PENDING] * n_items
-    for chunk, chunk_result in zip(chunks, results):
+    flattened = []
+    for chunk_result in results:
         if isinstance(chunk_result, _MetricsShard):
             recorder.merge(chunk_result.metrics)
             chunk_result = chunk_result.items
-        for index, item in zip(chunk, chunk_result):
-            scattered[index] = item
-    return scattered
+        flattened.extend(chunk_result)
+    return flattened

@@ -15,11 +15,7 @@ bit-identical parallel/cached dictionary guarantee established in PR 1:
 * ``S406`` — code under a ``sampling/`` package constructing its own
   numpy generators (seeded or not) instead of threading
   ``repro.rng.spawn_generator`` spawn keys; ad-hoc generators break the
-  bit-reproducibility of sampled dictionary builds across backends,
-* ``T310`` — code under a ``hier/`` package calling flat-kernel replay
-  entry points outside a sanctioned ``*flat*``-named bridge function;
-  the bridge is the one audited seam the hierarchical bit-identity
-  proof rests on.
+  bit-reproducibility of sampled dictionary builds across backends.
 
 Pure ``ast`` — no third-party linter framework, no imports of the scanned
 code.  Findings can be silenced per line with a trailing
@@ -97,23 +93,6 @@ _S406_CONSTRUCTORS = {
     "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64",
 }
 
-#: Directory components that scope T310: hierarchical replay packages.
-_HIER_DIRS = {"hier"}
-
-#: Flat-kernel replay entry points T310 confines to ``*flat*`` bridges
-#: inside ``hier/`` code (dispatching names plus both kernel variants —
-#: naming any of them outside a bridge bypasses the audited seam).
-_FLAT_KERNEL_NAMES = {
-    "simulate_transition",
-    "resimulate_with_extra",
-    "replay_sizes",
-    "simulate_transition_compiled",
-    "resimulate_with_extra_compiled",
-    "replay_sizes_compiled",
-    "simulate_transition_reference",
-    "resimulate_with_extra_reference",
-}
-
 #: Parameter names that mark a seed input / an explicit generator input.
 _SEED_PARAMS = {"seed", "rng_seed"}
 _GENERATOR_PARAMS = {"rng", "generator", "space"}
@@ -159,10 +138,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.d106_exempt = bool(_D106_EXEMPT_DIRS & set(parts[:-1]))
         #: S406 scope: files living under a sampling/ package directory.
         self.in_sampling = bool(_SAMPLING_DIRS & set(parts[:-1]))
-        #: T310 scope: files living under a hier/ package directory.
-        self.in_hier = bool(_HIER_DIRS & set(parts[:-1]))
-        #: Enclosing function names (innermost last) for bridge checks.
-        self.function_stack: List[str] = []
         #: Local aliases of the numpy package (``numpy``, ``np``, ...).
         self.numpy_aliases: Set[str] = set()
         #: Local aliases of the ``numpy.random`` module itself.
@@ -231,20 +206,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
                     )
         self.generic_visit(node)
 
-    # -- function scopes ------------------------------------------------
-    def _visit_function(self, node) -> None:
-        self.function_stack.append(node.name)
-        try:
-            self.generic_visit(node)
-        finally:
-            self.function_stack.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
-
     # -- calls ----------------------------------------------------------
     def _np_random_member(self, func: ast.AST) -> Optional[str]:
         """The ``numpy.random`` member a call targets, if any."""
@@ -301,18 +262,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
             terminal = node.func.attr
         elif isinstance(node.func, ast.Name):
             terminal = node.func.id
-        if (
-            self.in_hier
-            and terminal in _FLAT_KERNEL_NAMES
-            and not any("flat" in name for name in self.function_stack)
-        ):
-            self._emit(
-                "T310", node.lineno,
-                f"hier/ code calls flat-kernel entry point `{terminal}` "
-                "outside a sanctioned *flat* bridge function; route the "
-                "call through the bridge (e.g. `_flat_replay`) so the "
-                "hierarchical bit-identity seam stays auditable",
-            )
         if not self.d106_exempt:
             if terminal in _REFERENCE_KERNEL_NAMES:
                 self._emit(

@@ -46,15 +46,10 @@ __all__ = ["analyze_cache_keys", "key_root_report", "KeyRootReport"]
 #: A call whose terminal name ends with this marks the key computation.
 KEY_TERMINAL_SUFFIX = "cache_key"
 
-#: ``map_chunked(fn, payload, n_items, config, ...)`` — ``payload`` is
-#: content; the callable and execution config never change bytes.  The
-#: explicit ``chunks=`` sharding (the hierarchical block shards) also
-#: counts as content: what flows into it records *how* the payload was
-#: grouped, the same provenance discipline the sampler/hier cache
-#: tokens encode.
+#: ``map_chunked(fn, payload, n_items, config, ...)`` — only ``payload``
+#: is content; the callable and execution config never change bytes.
 PAYLOAD_CALLABLES = {"map_chunked"}
 _PAYLOAD_INDEX = 1
-_PAYLOAD_KWARGS = {"chunks"}
 
 #: Constructions shipped to workers: ``_SignatureJob(...)`` and friends.
 _JOB_TERMINAL_RE = re.compile(r"Job$")
@@ -180,15 +175,8 @@ def _content_sinks(fn: FunctionInfo) -> List[Tuple[CallSite, List[ast.AST]]]:
         if terminal is None:
             continue
         if terminal in PAYLOAD_CALLABLES:
-            exprs = []
             if len(site.node.args) > _PAYLOAD_INDEX:
-                exprs.append(site.node.args[_PAYLOAD_INDEX])
-            exprs.extend(
-                kw.value for kw in site.node.keywords
-                if kw.arg in _PAYLOAD_KWARGS
-            )
-            if exprs:
-                sinks.append((site, exprs))
+                sinks.append((site, [site.node.args[_PAYLOAD_INDEX]]))
         elif _JOB_TERMINAL_RE.search(terminal):
             exprs: List[ast.AST] = list(site.node.args)
             exprs.extend(kw.value for kw in site.node.keywords)

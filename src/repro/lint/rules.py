@@ -8,8 +8,7 @@ it checks and which engine produced it:
 * ``C2xx`` — circuit/netlist structure (model engine,
   :mod:`repro.lint.models`),
 * ``T3xx`` — timing / cell-library characterization (model engine;
-  ``T310`` is the one code-engine member — it keeps hierarchical replay
-  code behind the sanctioned flat-kernel bridge functions),
+  ``T310`` is retired with the hierarchical build path and never reused),
 * ``S4xx`` — suspect sets, fault dictionaries and the on-disk cache
   (model engine; ``S406`` is the one code-engine member — it guards the
   sampling subsystem's RNG threading at the source level),
@@ -175,14 +174,6 @@ _CATALOG = (
         "T305", "invalid-delay-samples", Severity.ERROR, "model",
         "Materialized delay matrix contains non-finite or negative "
         "samples.",
-    ),
-    Rule(
-        "T310", "hier-bypasses-flat-bridge", Severity.ERROR, "code",
-        "Code under a hier/ package calls a flat-kernel replay entry "
-        "point directly instead of going through a sanctioned *flat* "
-        "bridge function; direct calls bypass the one audited seam the "
-        "hierarchical bit-identity proof (and REPRO_TIMING_KERNEL "
-        "dispatch) rests on.",
     ),
     # ------------------------------------- suspects / dictionary / cache
     Rule(

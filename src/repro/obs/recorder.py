@@ -3,10 +3,12 @@
 One :class:`Recorder` aggregates everything a run does:
 
 * **spans** — nested wall-clock timings (``with recorder.span("x"): ...``)
-  aggregated into a tree keyed by span name; each thread keeps its own
-  nesting stack (a worker thread's spans attach at the root), while the
-  aggregate tree itself is shared and lock-protected, so the thread
-  backend of :mod:`repro.core.parallel` merges by construction,
+  aggregated into a tree keyed by span name; the current parent lives in
+  a :class:`contextvars.ContextVar`, so each asyncio task and each fresh
+  worker thread nests from its own context (a worker thread's spans
+  attach at the root), while the aggregate tree itself is shared and
+  lock-protected, so the thread backend of :mod:`repro.core.parallel`
+  merges by construction,
 * **counters** — monotonically accumulated integers/floats (cache hits,
   resimulation counts, chunk throughput),
 * **gauges** — last-write-wins scalars (worker counts, config echoes),
@@ -27,9 +29,10 @@ instrumented-vs-uninstrumented rounds in the test suite.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -84,30 +87,28 @@ class SpanNode:
 class _SpanContext:
     """Context manager for one timed block (re-entrant per name)."""
 
-    __slots__ = ("_recorder", "_name", "_node", "_start")
+    __slots__ = ("_recorder", "_name", "_node", "_token", "_start")
 
     def __init__(self, recorder: "Recorder", name: str) -> None:
         self._recorder = recorder
         self._name = name
         self._node: Optional[SpanNode] = None
+        self._token: Optional[contextvars.Token] = None
         self._start = 0.0
 
     def __enter__(self) -> "_SpanContext":
         recorder = self._recorder
-        stack = recorder._span_stack()
         with recorder._lock:
-            parent = stack[-1] if stack else recorder._root
+            parent = recorder._parent.get() or recorder._root
             self._node = parent.child(self._name)
-        stack.append(self._node)
+        self._token = recorder._parent.set(self._node)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         elapsed = time.perf_counter() - self._start
         recorder = self._recorder
-        stack = recorder._span_stack()
-        if stack and stack[-1] is self._node:
-            stack.pop()
+        recorder._parent.reset(self._token)
         with recorder._lock:
             assert self._node is not None
             self._node.count += 1
@@ -137,19 +138,16 @@ class Recorder:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._local = threading.local()
+        #: The span node new spans nest under; ``None`` means the root.
+        self._parent: contextvars.ContextVar[Optional[SpanNode]] = (
+            contextvars.ContextVar("repro_obs_span_parent", default=None)
+        )
         self._root = SpanNode("")
         self._counters: Dict[str, Union[int, float]] = {}
         self._gauges: Dict[str, float] = {}
         self._meters: Dict[str, ConvergenceStat] = {}
 
     # -- spans ----------------------------------------------------------
-    def _span_stack(self) -> List[SpanNode]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def span(self, name: str) -> _SpanContext:
         """``with recorder.span("dictionary.build"): ...``"""
         return _SpanContext(self, name)

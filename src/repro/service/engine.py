@@ -49,8 +49,6 @@ from ..core.cache import (
 )
 from ..core.dictionary import ProbabilisticFaultDictionary, build_dictionary
 from ..core.parallel import ParallelConfig
-from ..hier.partition import partition_circuit
-from ..hier.replay import resolve_hier
 from ..resilience import chaos
 from ..sampling import SizeDistribution, resolve_sampler
 from .errors import BadRequestError, UnknownWorkloadError, WorkloadReloadError
@@ -139,12 +137,10 @@ class DiagnosisService:
         cache: Optional[Union[DictionaryCache, DictionaryStore, str]] = None,
         parallel: Optional[Union[ParallelConfig, str]] = None,
         sampler=None,
-        hier=None,
     ) -> None:
         self._cache = resolve_cache(cache)
         self._parallel = parallel
         self._sampler = sampler
-        self._hier = hier
         self._workloads: Dict[str, Workload] = {}
         self._locks: Dict[str, threading.Lock] = {}
         self._registry_lock = threading.Lock()
@@ -195,7 +191,6 @@ class DiagnosisService:
                         cache=self._cache,
                         sampler=self._sampler,
                         size_distribution=workload.size_distribution,
-                        hier=self._hier,
                     )
                     # Pre-stack signatures so the first query pays no
                     # assembly cost either (a no-op for store-served
@@ -241,13 +236,6 @@ class DiagnosisService:
         token = None
         if not sampler_config.is_plain:
             token = sampler_config.cache_token(workload.size_distribution)
-        hier_config = resolve_hier(self._hier)
-        hier_token = None
-        if hier_config.enabled:
-            graph = partition_circuit(
-                workload.timing.circuit, hier_config.n_blocks
-            )
-            hier_token = hier_config.cache_token(graph)
         return dictionary_cache_key(
             workload.timing,
             list(workload.patterns),
@@ -255,7 +243,6 @@ class DiagnosisService:
             workload.suspects,
             workload.size_samples,
             sampler_token=token,
-            hier_token=hier_token,
         )
 
     def reload(self, name: str) -> int:

@@ -105,8 +105,6 @@ def _isolated_execution_env(monkeypatch):
         "REPRO_KERNEL_SCHEDULE_CACHE",
         "REPRO_KERNEL_CONE_CACHE",
         "REPRO_SAMPLER",
-        "REPRO_HIER",
-        "REPRO_HIER_BLOCKS",
     ):
         monkeypatch.delenv(variable, raising=False)
 

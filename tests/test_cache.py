@@ -29,6 +29,7 @@ from repro.core import (
     validate_store_manifest,
 )
 from repro.defects import DefectSizeModel
+from repro.sampling import SizeDistribution, resolve_sampler
 from repro.timing import CircuitTiming, SampleSpace, diagnosis_clock, simulate_pattern_set
 
 
@@ -136,6 +137,23 @@ class TestCacheInvalidation:
         assert patterns_fingerprint(list(patterns)) == patterns_fingerprint(
             list(patterns)
         )
+
+    def test_key_is_pinned(self, small_timing):
+        # Golden addresses: existing store entries must keep their keys.
+        # A change here orphans every dictionary already on disk.
+        timing = small_timing
+        patterns = list(random_pattern_pairs(timing.circuit, 4, seed=1))
+        suspects = timing.circuit.edges[::5]
+        sizes = DefectSizeModel().size_variable(
+            2.0, timing.space, rng=np.random.default_rng(4)
+        ).samples
+        assert dictionary_cache_key(
+            timing, patterns, [4.8], suspects, sizes
+        ) == "c7cb6f76b70dedad65a0a4a2d19ab837c7f3c19842623b12b297d268f34af8e0"
+        token = resolve_sampler("is").cache_token(SizeDistribution(2.0, 0.5))
+        assert dictionary_cache_key(
+            timing, patterns, [4.8], suspects, sizes, sampler_token=token
+        ) == "b067449adb2ff3cb45e77af0b64f8803eefc64e70820606340383dfb87615b8f"
 
     def test_changed_clock_rebuilds_not_reuses(self, case, cache):
         timing, patterns, clk, suspects, sizes, sims = case

@@ -137,59 +137,6 @@ def test_sampler_rng_rule_only_applies_under_sampling_dirs():
     assert rule_counts(findings) == {"S406": 1}
 
 
-def test_hier_flat_kernel_call_flagged_outside_bridge():
-    source = (
-        "from ..timing.dynamic import resimulate_with_extra\n"
-        "\n"
-        "def replay_entry(base, extra, cone):\n"
-        "    return resimulate_with_extra(base, extra, affected=cone)\n"
-    )
-    findings = lint_source(source, path="src/repro/hier/replay.py")
-    assert rule_counts(findings) == {"T310": 1}
-    assert findings[0].severity is Severity.ERROR
-    assert "_flat_replay" in findings[0].message
-
-
-def test_hier_flat_bridge_function_is_sanctioned():
-    source = (
-        "from ..timing.dynamic import resimulate_with_extra\n"
-        "\n"
-        "def _flat_replay(base, extra, cone):\n"
-        "    return resimulate_with_extra(base, extra, affected=cone)\n"
-    )
-    assert lint_source(source, path="src/repro/hier/replay.py") == []
-
-
-def test_hier_rule_only_applies_under_hier_dirs():
-    source = (
-        "from ..timing.dynamic import resimulate_with_extra\n"
-        "\n"
-        "def run(base, extra):\n"
-        "    return resimulate_with_extra(base, extra)\n"
-    )
-    assert lint_source(source, path="src/repro/core/dictionary.py") == []
-
-
-def test_hier_rule_covers_kernel_variants_and_module_level():
-    source = (
-        "from ..timing import replay_sizes_compiled\n"
-        "x = replay_sizes_compiled(base, 1, [2.0], cone, nets)\n"
-    )
-    findings = lint_source(source, path="src/repro/hier/extract.py")
-    assert rule_counts(findings) == {"T310": 1}
-
-
-def test_hier_rule_inline_allow():
-    source = (
-        "from ..timing.dynamic import replay_sizes\n"
-        "\n"
-        "def probe(base, cone):  # oracle comparison\n"
-        "    return replay_sizes(base, 0, [1.0], cone, [])"
-        "  # repro-lint: allow[T310]\n"
-    )
-    assert lint_source(source, path="src/repro/hier/replay.py") == []
-
-
 def test_reference_kernel_allowed_in_timing_and_tests():
     source = (
         "from repro.timing import resimulate_with_extra_reference\n"

@@ -12,6 +12,7 @@ Three properties carry the layer's whole value and are pinned here:
   pinned by a golden fixture so instrumentation drift fails loudly.
 """
 
+import asyncio
 import json
 import os
 import threading
@@ -96,9 +97,27 @@ class TestSpans:
             for thread in threads:
                 thread.join()
         names = {node["name"]: node for node in recorder.snapshot()["spans"]}
-        # each thread has its own nesting stack: no cross-thread parenting
+        # each thread nests from its own context: no cross-thread parenting
         assert set(names) == {"main", "thread.work"}
         assert names["thread.work"]["count"] == 4
+
+    def test_concurrent_asyncio_tasks_do_not_nest(self):
+        # Spans held across `await` on one thread must nest per task: the
+        # service's request spans interleave exactly like this.
+        recorder = obs.Recorder()
+
+        async def serve():
+            for _ in range(200):
+                with recorder.span("service.request"):
+                    await asyncio.sleep(0)
+
+        async def main():
+            await asyncio.gather(serve(), serve())
+
+        asyncio.run(main())
+        assert recorder.span_depth() == 1
+        (node,) = recorder.snapshot()["spans"]
+        assert (node["name"], node["count"]) == ("service.request", 400)
 
 
 class TestCounters:
@@ -214,7 +233,7 @@ class TestBackendMerging:
 
     def test_items_identical_across_backends(self):
         expected = [10 * index for index in range(8)]
-        for backend in ("serial", "thread", "process", "futures"):
+        for backend in ("serial", "thread", "process"):
             items, _snap = self._run(backend)
             assert items == expected, backend
 

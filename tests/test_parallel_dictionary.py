@@ -103,7 +103,7 @@ class TestSerialParallelEquivalence:
         )
         _assert_identical(serial, parallel)
 
-    @pytest.mark.parametrize("backend", ["futures", "thread"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_other_backends_bit_identical(self, request, backend, bench_case):
         timing, patterns, clk, suspects, sizes, sims = bench_case
         serial = build_dictionary(
@@ -163,7 +163,7 @@ class TestExecutor:
         assert len(chunks) >= 4
 
     def test_map_chunked_preserves_order(self):
-        for backend in ("serial", "process", "futures", "thread"):
+        for backend in ("serial", "process", "thread"):
             config = ParallelConfig(backend=backend, n_workers=2, chunk_size=2)
             result = map_chunked(_double_chunk, 3, 9, config)
             assert result == [3 * index for index in range(9)]
