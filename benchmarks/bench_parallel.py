@@ -34,7 +34,7 @@ import numpy as np
 from repro.atpg import generate_path_tests
 from repro.circuits import load_benchmark
 from repro.core import (
-    DictionaryCache,
+    DictionaryStore,
     ParallelConfig,
     build_dictionary,
     suspect_edges,
@@ -128,13 +128,13 @@ def bench_circuit(name: str, n_samples: int, n_paths: int, repeats: int):
         assert _identical(reference, parallel), "parallel build diverged"
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        cache = DictionaryCache(cache_dir)
+        cache = DictionaryStore(cache_dir)
         build_dictionary(  # cold store
             timing, patterns, clk, suspects, sizes,
             base_simulations=sims, cache=cache,
         )
         warm = timed("cache-hit", "cache", 1, cache=cache)
-        assert cache.hits >= 1, "warm run did not hit the cache"
+        assert cache.stats.hits >= 1, "warm run did not hit the cache"
         assert _identical(reference, warm), "cached build diverged"
 
     serial_seconds = runs[0]["seconds"]

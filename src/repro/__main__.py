@@ -265,7 +265,7 @@ def cmd_profile(args) -> int:
     from . import obs
     from .atpg import generate_path_tests
     from .core import (
-        DictionaryCache,
+        DictionaryStore,
         build_dictionary,
         diagnose_all,
         resolve_cache,
@@ -311,7 +311,7 @@ def cmd_profile(args) -> int:
         with tempfile.TemporaryDirectory(prefix="repro-profile-") as scratch:
             # An explicit --cache-dir profiles that cache; otherwise a
             # scratch directory exercises the cold-store/warm-hit path.
-            cache = resolve_cache(None) or DictionaryCache(scratch)
+            cache = resolve_cache(None) or DictionaryStore(scratch)
             with recorder.span("profile.dictionary"):
                 dictionary = build_dictionary(
                     timing, patterns, clk, suspects, sizes,
@@ -447,8 +447,8 @@ def cmd_serve(args) -> int:
     Registers one standard workload per benchmark (pattern set, clock,
     suspect set all fixed by ``--seed``), prewarms the dictionaries
     unless ``--cold``, then serves the JSON-lines protocol until
-    interrupted.  ``REPRO_CACHE_DIR`` + ``REPRO_CACHE_FORMAT=store``
-    back the warm dictionaries with shared mmapped pages.
+    interrupted.  ``--cache-dir`` / ``REPRO_CACHE_DIR`` back the warm
+    dictionaries with a store's shared mmapped pages.
 
     The serving plane runs supervised (``docs/architecture.md`` §16): a
     circuit breaker sheds load when p95 batch latency or failure rate

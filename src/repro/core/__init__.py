@@ -10,7 +10,6 @@ from .parallel import (
 )
 from .cache import (
     CacheStats,
-    DictionaryCache,
     DictionaryStore,
     STORE_FORMAT,
     resolve_cache,
@@ -77,7 +76,6 @@ __all__ = [
     "chunk_indices",
     "map_chunked",
     "CacheStats",
-    "DictionaryCache",
     "DictionaryStore",
     "STORE_FORMAT",
     "resolve_cache",

@@ -29,7 +29,7 @@ from ..defects.model import InjectedDefect
 from ..timing.critical import pattern_set_delay, simulate_pattern_set
 from ..timing.dynamic import TransitionSimResult, simulate_transition
 from ..timing.instance import CircuitTiming
-from .cache import DictionaryCache
+from .cache import DictionaryStore
 from .dictionary import ProbabilisticFaultDictionary, build_multi_clock_dictionary
 from .parallel import ParallelConfig
 
@@ -106,7 +106,7 @@ def build_sweep_dictionary(
     size_samples: np.ndarray,
     base_simulations: Optional[Sequence[TransitionSimResult]] = None,
     parallel: Optional[Union[ParallelConfig, str]] = None,
-    cache: Optional[Union[DictionaryCache, str]] = None,
+    cache: Optional[Union[DictionaryStore, str]] = None,
     sampler=None,
     size_distribution=None,
 ) -> ProbabilisticFaultDictionary:

@@ -30,7 +30,7 @@ from ..timing.critical import simulate_pattern_set
 from ..timing.dynamic import TransitionSimResult
 from ..timing.instance import CircuitTiming
 from .. import obs
-from .cache import DictionaryCache
+from .cache import DictionaryStore
 from .dictionary import ProbabilisticFaultDictionary, build_dictionary
 from .error_functions import (
     ALG_REV,
@@ -210,7 +210,7 @@ def run_diagnosis(
     base_simulations: Optional[Sequence[TransitionSimResult]] = None,
     suspects: Optional[Sequence[Edge]] = None,
     parallel: Optional[Union[ParallelConfig, str]] = None,
-    cache: Optional[Union[DictionaryCache, str]] = None,
+    cache: Optional[Union[DictionaryStore, str]] = None,
     sampler=None,
     size_distribution=None,
 ) -> Tuple[Dict[str, DiagnosisResult], ProbabilisticFaultDictionary]:

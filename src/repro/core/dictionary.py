@@ -65,7 +65,7 @@ from ..sampling import (
     resolve_sampler,
 )
 from .. import obs
-from .cache import DictionaryCache, dictionary_cache_key, resolve_cache
+from .cache import DictionaryStore, dictionary_cache_key, resolve_cache
 from .parallel import ParallelConfig, map_chunked, resolve_parallel
 
 __all__ = [
@@ -443,7 +443,7 @@ def build_multi_clock_dictionary(
     size_samples: np.ndarray,
     base_simulations: Optional[Sequence[TransitionSimResult]] = None,
     parallel: Optional[Union[ParallelConfig, str]] = None,
-    cache: Optional[Union[DictionaryCache, str]] = None,
+    cache: Optional[Union[DictionaryStore, str]] = None,
     clk_attribute: Optional[float] = None,
     sampler: Optional[Union[SamplerConfig, str]] = None,
     size_distribution: Optional[SizeDistribution] = None,
@@ -527,19 +527,14 @@ def build_multi_clock_dictionary(
                         else None
                     ),
                 )
-                payload = store.load(key)
-            if payload is not None:
+                served = store.load(key)
+            if served is not None:
                 recorder.count("dictionary.cache_served")
-                # An mmap DictionaryStore hands the signature stack over
-                # zero-copy (rows 1.. of its payload array); batch
-                # diagnosis then scores straight off the shared pages.
-                served_stack = payload.get("stack")
+                # The store hands the signature stack over zero-copy (rows
+                # 1.. of its mmapped payload); batch diagnosis then scores
+                # straight off the shared pages.
                 return _assemble(
-                    payload["m_crt"],
-                    payload["signatures"],
-                    signature_stack=(
-                        served_stack[1:] if served_stack is not None else None
-                    ),
+                    served[0], served[1:], signature_stack=served[1:]
                 )
 
         if base_simulations is None:
@@ -665,7 +660,7 @@ def build_dictionary(
     size_samples: np.ndarray,
     base_simulations: Optional[Sequence[TransitionSimResult]] = None,
     parallel: Optional[Union[ParallelConfig, str]] = None,
-    cache: Optional[Union[DictionaryCache, str]] = None,
+    cache: Optional[Union[DictionaryStore, str]] = None,
     sampler: Optional[Union[SamplerConfig, str]] = None,
     size_distribution: Optional[SizeDistribution] = None,
 ) -> ProbabilisticFaultDictionary:

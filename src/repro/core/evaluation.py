@@ -40,7 +40,7 @@ from ..resilience.checkpoint import (
     load_checkpoint,
     write_checkpoint,
 )
-from .cache import DictionaryCache, resolve_cache, timing_fingerprint
+from .cache import DictionaryStore, resolve_cache, timing_fingerprint
 from .diagnosis import run_diagnosis
 from .error_functions import ALG_REV, ErrorFunction, METHOD_I, METHOD_II
 from .parallel import ParallelConfig, resolve_parallel
@@ -80,7 +80,7 @@ class EvaluationConfig:
     max_location_redraws: int = 10
     max_instance_redraws: int = 50
     parallel: Optional[Union[ParallelConfig, str]] = None
-    cache: Optional[Union[DictionaryCache, str]] = None
+    cache: Optional[Union[DictionaryStore, str]] = None
     checkpoint: Optional[str] = None
     resume: bool = False
     #: Dictionary signature estimator (:func:`repro.sampling.resolve_sampler`

@@ -339,8 +339,6 @@ def check_suspects(
     return findings
 
 
-_CACHE_FORMAT = "repro-dictionary-cache-v1"
-
 #: A mmap-store payload: ``dict_<key>.<content-digest-12>.npy``.
 _STORE_PAYLOAD_RE = re.compile(
     r"^dict_(?P<key>[0-9a-f]+)\.(?P<digest>[0-9a-f]{12})\.npy$"
@@ -428,21 +426,17 @@ def _check_store_manifest(
 
 
 def check_cache(cache_or_dir) -> List[Diagnostic]:
-    """Read-only audit of a dictionary-cache directory (``S403``–``S407``).
+    """Read-only audit of a dictionary-store directory.
 
-    Covers both on-disk layouts: legacy ``dict_<key>.npz`` blobs
-    (``S403``–``S405``) and the mmap store's manifest + payload pairs
-    (``S403``/``S405``/``S407``).  Unlike the hot-path loaders — which
-    delete bad entries — the audit never modifies the directory; it only
-    reports.
+    Checks every manifest + payload pair (``S403``/``S407``) and flags
+    unreferenced payloads, leftover temp files and any other file — a
+    legacy ``dict_<key>.npz`` blob included — as ``S405``.  Unlike the
+    hot-path loader — which deletes bad entries — the audit never
+    modifies the directory; it only reports.
     """
-    from ..core.cache import (
-        DictionaryCache,
-        DictionaryStore,
-        _payload_checksum,
-    )
+    from ..core.cache import DictionaryStore
 
-    if isinstance(cache_or_dir, (DictionaryCache, DictionaryStore)):
+    if isinstance(cache_or_dir, DictionaryStore):
         directory = cache_or_dir.directory
     else:
         directory = os.fspath(cache_or_dir)
@@ -455,9 +449,8 @@ def check_cache(cache_or_dir) -> List[Diagnostic]:
         name for name in names if _STORE_PAYLOAD_RE.match(name)
     ]
     for name in names:
-        path = os.path.join(directory, name)
         obj = f"cache:{name}"
-        if name.startswith((".tmp_dict_", ".tmp_store_")):
+        if name.startswith(DictionaryStore._TMP_PREFIX):
             findings.append(_diag(
                 "S405",
                 "leftover temp file from an interrupted cache writer",
@@ -469,51 +462,11 @@ def check_cache(cache_or_dir) -> List[Diagnostic]:
             continue
         if name in payload_names:
             continue  # orphan status decided after every manifest is read
-        if not (name.startswith("dict_") and name.endswith(".npz")):
-            if os.path.isfile(path):
-                findings.append(_diag(
-                    "S405",
-                    "foreign file in the cache directory; no load will "
-                    "ever consult it",
-                    obj,
-                ))
-            continue
-        filename_key = name[len("dict_"):-len(".npz")]
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                meta = json.loads(str(archive["meta"]))
-                fmt = meta.get("format")
-                if fmt != _CACHE_FORMAT:
-                    findings.append(_diag(
-                        "S404",
-                        f"entry carries format {fmt!r}, expected "
-                        f"{_CACHE_FORMAT!r} (written by an incompatible "
-                        "revision)",
-                        obj,
-                    ))
-                    continue
-                if meta.get("key") != filename_key:
-                    findings.append(_diag(
-                        "S404",
-                        "entry key does not match its filename (orphaned "
-                        "by a key-schema change)",
-                        obj,
-                    ))
-                    continue
-                n_suspects = int(meta["n_suspects"])
-                m_crt = archive["m_crt"]
-                signatures = [
-                    archive[f"sig_{index:05d}"] for index in range(n_suspects)
-                ]
-            if _payload_checksum(m_crt, signatures) != meta["checksum"]:
-                findings.append(_diag(
-                    "S403", "payload checksum mismatch (bit rot or "
-                    "truncated write)", obj,
-                ))
-        except Exception as error:
+        if os.path.isfile(os.path.join(directory, name)):
             findings.append(_diag(
-                "S403",
-                f"entry is unreadable ({type(error).__name__}: {error})",
+                "S405",
+                "foreign file in the cache directory; no load will ever "
+                "consult it",
                 obj,
             ))
     for name in payload_names:

@@ -11,7 +11,8 @@ it checks and which engine produced it:
   ``T310`` is retired with the hierarchical build path and never reused),
 * ``S4xx`` — suspect sets, fault dictionaries and the on-disk cache
   (model engine; ``S406`` is the one code-engine member — it guards the
-  sampling subsystem's RNG threading at the source level),
+  sampling subsystem's RNG threading at the source level; ``S404`` is
+  retired with the ``.npz`` blob cache and never reused),
 * ``S5xx`` — observability run manifests emitted by :mod:`repro.obs`
   (model engine, :mod:`repro.lint.obs`).  The range is reserved for the
   obs namespace: new manifest/metrics rules go here,
@@ -188,14 +189,9 @@ _CATALOG = (
     ),
     Rule(
         "S403", "corrupt-cache-entry", Severity.ERROR, "model",
-        "Dictionary-cache entry is unreadable or fails its payload "
-        "checksum (truncated write, bit rot, zip damage).",
-    ),
-    Rule(
-        "S404", "cache-schema-drift", Severity.ERROR, "model",
-        "Dictionary-cache entry carries an unexpected format version or a "
-        "key that disagrees with its filename — written by an "
-        "incompatible code revision.",
+        "Dictionary-store payload is unreadable, disagrees with its "
+        "manifest's shape or dtype, or fails its checksum (truncated "
+        "write, bit rot).",
     ),
     Rule(
         "S405", "orphaned-cache-file", Severity.WARNING, "model",

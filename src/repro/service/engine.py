@@ -15,8 +15,8 @@ acceptance contract, enforced by ``tests/test_service.py``): the engine
 adds grouping and bookkeeping, never arithmetic.
 
 Dictionaries flow through :func:`repro.core.cache.resolve_cache`, so a
-``DictionaryStore`` (``REPRO_CACHE_FORMAT=store``) serves the signature
-stack as read-only mmapped pages shared across service processes.
+cache directory's ``DictionaryStore`` serves the signature stack as
+read-only mmapped pages shared across service processes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from ..timing import (
 from ..core import diagnose_batch as _core_diagnose_batch
 from ..core import by_name
 from ..core.cache import (
-    DictionaryCache,
     DictionaryStore,
     dictionary_cache_key,
     resolve_cache,
@@ -134,7 +133,7 @@ class DiagnosisService:
 
     def __init__(
         self,
-        cache: Optional[Union[DictionaryCache, DictionaryStore, str]] = None,
+        cache: Optional[Union[DictionaryStore, str]] = None,
         parallel: Optional[Union[ParallelConfig, str]] = None,
         sampler=None,
     ) -> None:
@@ -261,10 +260,10 @@ class DiagnosisService:
         recorder = obs.get_recorder()
         with recorder.span("service.reload"):
             try:
-                if not isinstance(self._cache, DictionaryStore):
+                if self._cache is None:
                     raise ValueError(
-                        "hot reload needs a DictionaryStore cache "
-                        f"(service cache is {type(self._cache).__name__})"
+                        "hot reload needs a dictionary store, but the "
+                        "service has no cache directory"
                     )
                 chaos.trip("service.store_load", index=workload.version)
                 key = self.cache_key(name)
@@ -280,8 +279,8 @@ class DiagnosisService:
                         f"store entry shape {tuple(manifest['shape'][1:])} "
                         f"!= workload behavior shape {tuple(expected)}"
                     )
-                payload = self._cache.load(key)
-                if payload is None:
+                stack = self._cache.load(key)
+                if stack is None:
                     raise ValueError(
                         "store entry vanished or failed structural checks "
                         "while mapping"
@@ -292,17 +291,15 @@ class DiagnosisService:
                     f"hot reload of workload {name!r} rejected (still "
                     f"serving generation {workload.version}): {exc}"
                 ) from exc
-            stack = payload.get("stack")
             dictionary = ProbabilisticFaultDictionary(
                 timing=workload.timing,
                 clk=workload.clk,
-                m_crt=payload["m_crt"],
+                m_crt=stack[0],
                 suspects=list(workload.suspects),
-                signatures=dict(zip(workload.suspects, payload["signatures"])),
+                signatures=dict(zip(workload.suspects, stack[1:])),
                 size_samples=workload.size_samples,
-                _signature_stack=stack[1:] if stack is not None else None,
+                _signature_stack=stack[1:],
             )
-            dictionary.signature_stack()
             with self._locks[name]:
                 workload.dictionary = dictionary
                 workload.version += 1

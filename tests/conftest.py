@@ -92,7 +92,6 @@ def _isolated_execution_env(monkeypatch):
     for variable in (
         "REPRO_CACHE_DIR",
         "REPRO_CACHE_MAX_ENTRIES",
-        "REPRO_CACHE_FORMAT",
         "REPRO_PARALLEL_BACKEND",
         "REPRO_PARALLEL_WORKERS",
         "REPRO_PARALLEL_CHUNK",
@@ -137,7 +136,7 @@ def _no_chaos_plan():
 
 @pytest.fixture()
 def tmp_cache(tmp_path):
-    """A per-test dictionary cache in a private tmp dir (xdist-safe)."""
-    from repro.core import DictionaryCache
+    """A per-test dictionary store in a private tmp dir (xdist-safe)."""
+    from repro.core import DictionaryStore
 
-    return DictionaryCache(tmp_path / "dict-cache")
+    return DictionaryStore(tmp_path / "dict-cache")

@@ -4,12 +4,13 @@ A stale cache hit would silently corrupt every diagnosis downstream, so
 the key must cover *everything* the dictionary content depends on —
 circuit structure, the materialized delay matrix (which subsumes the RNG
 seed and sample count), pattern set, clock, suspect list and defect-size
-samples.  And because cache files live on disk across runs, load must
+samples.  And because store entries live on disk across runs, load must
 treat any damaged file as a miss, never as data and never as a crash.
 """
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from repro.atpg import random_pattern_pairs
 from repro.circuits import GeneratorConfig, generate_circuit
 from repro.core import (
     STORE_FORMAT,
-    DictionaryCache,
     DictionaryStore,
     build_dictionary,
     circuit_fingerprint,
@@ -48,7 +48,7 @@ def case(small_timing):
 
 @pytest.fixture()
 def cache(tmp_path):
-    return DictionaryCache(tmp_path / "dict-cache")
+    return DictionaryStore(tmp_path / "dict-cache")
 
 
 class TestCacheHit:
@@ -58,12 +58,12 @@ class TestCacheHit:
             timing, patterns, clk, suspects, sizes,
             base_simulations=sims, cache=cache,
         )
-        assert (cache.hits, cache.misses) == (0, 1)
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
         loaded = build_dictionary(
             timing, patterns, clk, suspects, sizes,
             base_simulations=sims, cache=cache,
         )
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
         assert np.array_equal(built.m_crt, loaded.m_crt)
         assert built.suspects == loaded.suspects
         for edge in suspects:
@@ -80,7 +80,7 @@ class TestCacheHit:
         loaded = build_dictionary(
             timing, patterns, clk, suspects, sizes, cache=cache
         )
-        assert cache.hits == 1
+        assert cache.stats.hits == 1
         for edge in suspects:
             assert edge in loaded.signatures
 
@@ -165,7 +165,7 @@ class TestCacheInvalidation:
             timing, patterns, clk * 0.9, suspects, sizes,
             base_simulations=sims, cache=cache,
         )
-        assert cache.hits == 0 and cache.misses == 2
+        assert cache.stats.hits == 0 and cache.stats.misses == 2
         reference = build_dictionary(
             timing, patterns, clk * 0.9, suspects, sizes, base_simulations=sims
         )
@@ -186,14 +186,18 @@ class TestCorruption:
         key = dictionary_cache_key(timing, list(patterns), [clk], suspects, sizes)
         return key, cache.path_for(key)
 
+    def _payload_path(self, cache, key):
+        with open(cache.path_for(key)) as handle:
+            return os.path.join(cache.directory, json.load(handle)["payload"])
+
     def test_truncated_file_detected_and_rebuilt(self, case, cache):
         key, path = self._store_one(case, cache)
         with open(path, "rb") as handle:
-            blob = handle.read()
+            manifest = handle.read()
         with open(path, "wb") as handle:
-            handle.write(blob[: len(blob) // 2])
+            handle.write(manifest[: len(manifest) // 2])
         assert cache.load(key) is None
-        assert cache.rejected == 1
+        assert cache.stats.rejected == 1
         assert not os.path.exists(path), "corrupt entry must be evicted"
         # rebuild goes through cleanly and re-stores
         timing, patterns, clk, suspects, sizes, sims = case
@@ -205,19 +209,19 @@ class TestCorruption:
         assert len(rebuilt) == len(suspects)
 
     def test_garbage_file_is_a_miss_not_a_crash(self, case, cache):
-        key, path = self._store_one(case, cache)
-        with open(path, "wb") as handle:
-            handle.write(b"this is not an npz archive")
+        key, _path = self._store_one(case, cache)
+        with open(self._payload_path(cache, key), "wb") as handle:
+            handle.write(b"this is not an npy array")
         assert cache.load(key) is None
 
     def test_payload_tamper_detected_by_checksum(self, case, cache):
-        key, path = self._store_one(case, cache)
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays["m_crt"] = arrays["m_crt"] + 1e-6  # silent bit-rot stand-in
-        np.savez(path, **arrays)
-        assert cache.load(key) is None
-        assert cache.rejected == 1
+        key, _path = self._store_one(case, cache)
+        payload_path = self._payload_path(cache, key)
+        stack = np.load(payload_path)
+        np.save(payload_path, stack + 1e-6)  # silent bit-rot stand-in
+        # shape and dtype still agree: only the full checksum catches it
+        assert cache.load(key, verify=True) is None
+        assert cache.stats.rejected == 1
 
     def test_clear_removes_entries(self, case, cache):
         _key, path = self._store_one(case, cache)
@@ -245,8 +249,7 @@ class TestCacheStats:
         assert (stats.hits, stats.misses, stats.stores) == (1, 1, 1)
         assert stats.lookups == 2
         assert stats.hit_rate == 0.5
-        # the legacy counter properties stay in sync with the stats object
-        assert (cache.hits, cache.misses, cache.rejected) == (1, 1, 0)
+        assert stats.rejected == 0
 
     def test_rejection_counts_as_miss(self, case, cache):
         timing, patterns, clk, suspects, sizes, sims = case
@@ -301,7 +304,7 @@ class TestResolution:
             timing, patterns, clk, suspects, sizes, base_simulations=sims
         )
         entries = [
-            name for name in os.listdir(cache_dir) if name.endswith(".npz")
+            name for name in os.listdir(cache_dir) if name.endswith(".json")
         ]
         assert len(entries) == 1
 
@@ -325,130 +328,8 @@ class TestResolution:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
         assert resolve_cache(None).max_entries == 3
         # an explicit instance keeps whatever cap it was built with
-        explicit = DictionaryCache(tmp_path / "own", max_entries=7)
+        explicit = DictionaryStore(tmp_path / "own", max_entries=7)
         assert resolve_cache(explicit).max_entries == 7
-
-
-def _entry(seed: int):
-    """A small, deterministic cache payload distinct per seed."""
-    return np.full((2, 3), float(seed)), [np.full(4, float(seed))]
-
-
-class TestLRUEviction:
-    def _age(self, cache, key, seconds_ago):
-        """Pin an entry's recency without sleeping (mtime-based LRU)."""
-        stamp = os.path.getmtime(cache.path_for(key)) - seconds_ago
-        os.utime(cache.path_for(key), (stamp, stamp))
-
-    def test_max_entries_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError):
-            DictionaryCache(tmp_path, max_entries=0)
-
-    def test_oldest_entry_is_evicted_first(self, tmp_path):
-        cache = DictionaryCache(tmp_path, max_entries=2)
-        for index, key in enumerate(("aaa", "bbb")):
-            cache.store(key, *_entry(index))
-            self._age(cache, key, seconds_ago=100 - index)
-        cache.store("ccc", *_entry(2))
-        assert cache.stats.evictions == 1
-        assert not os.path.exists(cache.path_for("aaa"))
-        assert cache.load("bbb") is not None
-        assert cache.load("ccc") is not None
-
-    def test_hit_refreshes_recency(self, tmp_path):
-        cache = DictionaryCache(tmp_path, max_entries=2)
-        for index, key in enumerate(("aaa", "bbb")):
-            cache.store(key, *_entry(index))
-            self._age(cache, key, seconds_ago=100 - index)
-        assert cache.load("aaa") is not None  # refreshes aaa's mtime
-        cache.store("ccc", *_entry(2))
-        assert os.path.exists(cache.path_for("aaa")), "hit entry survives"
-        assert not os.path.exists(cache.path_for("bbb"))
-
-    def test_just_written_entry_is_never_the_victim(self, tmp_path):
-        cache = DictionaryCache(tmp_path, max_entries=1)
-        cache.store("aaa", *_entry(0))
-        cache.store("bbb", *_entry(1))
-        assert not os.path.exists(cache.path_for("aaa"))
-        assert cache.load("bbb") is not None
-        assert cache.stats.evictions == 1
-
-    def test_evictions_feed_stats_and_obs_counters(self, tmp_path):
-        from repro import obs
-
-        cache = DictionaryCache(tmp_path, max_entries=1)
-        recorder = obs.Recorder()
-        with obs.use_recorder(recorder):
-            for index, key in enumerate(("aaa", "bbb", "ccc")):
-                cache.store(key, *_entry(index))
-        assert cache.stats.evictions == 2
-        assert recorder.counter_value("cache.evicted") == 2
-
-    def test_unbounded_cache_never_evicts(self, tmp_path):
-        cache = DictionaryCache(tmp_path)
-        for index in range(5):
-            cache.store(f"key{index}", *_entry(index))
-        assert cache.stats.evictions == 0
-        assert len([n for n in os.listdir(tmp_path) if n.endswith(".npz")]) == 5
-
-
-def _hammer_store(directory, key, n_rounds):
-    """Concurrent-writer body: repeatedly store the same content under
-    the same key, racing the other writers' atomic renames."""
-    cache = DictionaryCache(directory)
-    for _ in range(n_rounds):
-        cache.store(key, *_entry(7))
-
-
-class TestConcurrentWriters:
-    def test_racing_writers_never_produce_a_torn_entry(self, tmp_path):
-        """N processes atomically rewrite one key while we keep reading.
-
-        The atomic-rename protocol (mkstemp in the target directory +
-        ``os.replace``) means a reader observes either the previous
-        complete entry or the new complete entry — never a torn file.
-        """
-        import multiprocessing
-
-        key = "contended"
-        writers = [
-            multiprocessing.Process(
-                target=_hammer_store, args=(str(tmp_path), key, 20)
-            )
-            for _ in range(4)
-        ]
-        for process in writers:
-            process.start()
-        try:
-            reader = DictionaryCache(tmp_path)
-            expected_m, expected_sigs = _entry(7)
-            observed = 0
-            while any(process.is_alive() for process in writers):
-                loaded = reader.load(key)
-                if loaded is None:
-                    continue  # only legal before the very first rename
-                observed += 1
-                np.testing.assert_array_equal(loaded["m_crt"], expected_m)
-                np.testing.assert_array_equal(
-                    loaded["signatures"][0], expected_sigs[0]
-                )
-        finally:
-            for process in writers:
-                process.join()
-        assert reader.stats.rejected == 0, "a torn or partial entry was read"
-        for process in writers:
-            assert process.exitcode == 0
-        # exactly one final entry and no temp debris survive the stampede
-        names = sorted(os.listdir(tmp_path))
-        assert names == [f"dict_{key}.npz"]
-        final = reader.load(key)
-        assert final is not None
-        np.testing.assert_array_equal(final["m_crt"], expected_m)
-
-
-# ---------------------------------------------------------------------------
-# The zero-copy mmap store (DictionaryStore)
-# ---------------------------------------------------------------------------
 
 
 def _store_entry(seed: int):
@@ -459,37 +340,83 @@ def _store_entry(seed: int):
     return m_crt, signatures
 
 
+class TestLRUEviction:
+    def _age(self, cache, key, seconds_ago):
+        """Pin an entry's recency without sleeping (mtime-based LRU)."""
+        stamp = os.path.getmtime(cache.path_for(key)) - seconds_ago
+        os.utime(cache.path_for(key), (stamp, stamp))
+
+    def test_max_entries_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError):
+            DictionaryStore(tmp_path, max_entries=0)
+
+    def test_oldest_entry_is_evicted_first(self, tmp_path):
+        cache = DictionaryStore(tmp_path, max_entries=2)
+        for index, key in enumerate(("aaa", "bbb")):
+            cache.store(key, *_store_entry(index))
+            self._age(cache, key, seconds_ago=100 - index)
+        cache.store("ccc", *_store_entry(2))
+        assert cache.stats.evictions == 1
+        assert not os.path.exists(cache.path_for("aaa"))
+        assert cache.load("bbb") is not None
+        assert cache.load("ccc") is not None
+
+    def test_hit_refreshes_recency(self, tmp_path):
+        cache = DictionaryStore(tmp_path, max_entries=2)
+        for index, key in enumerate(("aaa", "bbb")):
+            cache.store(key, *_store_entry(index))
+            self._age(cache, key, seconds_ago=100 - index)
+        assert cache.load("aaa") is not None  # refreshes aaa's mtime
+        cache.store("ccc", *_store_entry(2))
+        assert os.path.exists(cache.path_for("aaa")), "hit entry survives"
+        assert not os.path.exists(cache.path_for("bbb"))
+
+    def test_just_written_entry_is_never_the_victim(self, tmp_path):
+        cache = DictionaryStore(tmp_path, max_entries=1)
+        cache.store("aaa", *_store_entry(0))
+        cache.store("bbb", *_store_entry(1))
+        assert not os.path.exists(cache.path_for("aaa"))
+        assert cache.load("bbb") is not None
+        assert cache.stats.evictions == 1
+
+    def test_evictions_feed_stats_and_obs_counters(self, tmp_path):
+        from repro import obs
+
+        cache = DictionaryStore(tmp_path, max_entries=1)
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            for index, key in enumerate(("aaa", "bbb", "ccc")):
+                cache.store(key, *_store_entry(index))
+        assert cache.stats.evictions == 2
+        assert recorder.counter_value("cache.evicted") == 2
+
+    def test_unbounded_cache_never_evicts(self, tmp_path):
+        cache = DictionaryStore(tmp_path)
+        for index in range(5):
+            cache.store(f"key{index}", *_store_entry(index))
+        assert cache.stats.evictions == 0
+        assert len(cache.keys()) == 5
+
+
+# ---------------------------------------------------------------------------
+# The zero-copy mmap store (DictionaryStore)
+# ---------------------------------------------------------------------------
+
+
 class TestDictionaryStore:
-    def test_roundtrip_is_bit_identical_to_blob_cache(self, tmp_path):
-        """The mmap store and the pickle-blob cache agree to the last bit.
-
-        Same key, same content, two formats — every float a downstream
-        diagnosis reads must be identical whichever backend served it.
-        """
-        m_crt, signatures = _store_entry(11)
-        blob = DictionaryCache(tmp_path / "blob")
-        store = DictionaryStore(tmp_path / "store")
-        blob.store("kk", m_crt, signatures)
-        store.store("kk", m_crt, signatures)
-        from_blob = blob.load("kk")
-        from_store = store.load("kk")
-        assert from_blob is not None and from_store is not None
-        np.testing.assert_array_equal(from_blob["m_crt"], from_store["m_crt"])
-        assert len(from_blob["signatures"]) == len(from_store["signatures"])
-        for a, b in zip(from_blob["signatures"], from_store["signatures"]):
-            np.testing.assert_array_equal(a, b)
-
     def test_load_is_a_read_only_mmap_view(self, tmp_path):
         store = DictionaryStore(tmp_path)
         m_crt, signatures = _store_entry(3)
         store.store("kk", m_crt, signatures)
-        loaded = store.load("kk")
-        assert isinstance(loaded["stack"], np.memmap)
-        assert not loaded["stack"].flags.writeable
-        assert loaded["stack"].shape == (1 + len(signatures),) + m_crt.shape
-        # signatures are zero-copy row views of the mapped stack
-        assert loaded["signatures"][0].base is not None
-        np.testing.assert_array_equal(loaded["stack"][0], m_crt)
+        stack = store.load("kk")
+        assert isinstance(stack, np.memmap)
+        assert not stack.flags.writeable
+        assert stack.shape == (1 + len(signatures),) + m_crt.shape
+        # m_crt and the signatures are zero-copy row views of the map
+        assert stack[1].base is not None
+        np.testing.assert_array_equal(stack[0], m_crt)
+        for row, signature in zip(stack[1:], signatures):
+            np.testing.assert_array_equal(row, signature)
 
     def test_verify_checks_the_full_checksum(self, tmp_path):
         store = DictionaryStore(tmp_path)
@@ -497,18 +424,45 @@ class TestDictionaryStore:
         assert store.load("kk", verify=True) is not None
         assert store.stats.rejected == 0
 
+    def test_entry_written_by_an_earlier_revision_loads_bit_exactly(
+        self, tmp_path
+    ):
+        """Golden entry: existing store entries keep loading unchanged.
+
+        ``tests/fixtures/cache`` holds a 2-suspect, 3x5 entry written by
+        an earlier revision of :meth:`DictionaryStore.store`; any change
+        to the manifest schema, payload naming or stack layout fails
+        here before it orphans dictionaries already on disk.
+        """
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "cache")
+        directory = tmp_path / "golden"
+        shutil.copytree(fixture, directory)  # a failed load would evict
+        stack = DictionaryStore(directory).load("golden", verify=True)
+        assert stack is not None
+        base = np.arange(15, dtype=float).reshape(3, 5)
+        expected = [(base + 1.0) / 7.0] + [
+            (base + 3.0 * (i + 1)) / 11.0 for i in range(2)
+        ]
+        assert stack.shape == (3, 3, 5) and stack.dtype == np.float64
+        for row, want in zip(stack, expected):
+            assert row.tobytes() == want.tobytes()
+        # today's writer publishes the same content under the same names
+        rewritten = tmp_path / "rewritten"
+        DictionaryStore(rewritten).store("golden", expected[0], expected[1:])
+        assert sorted(os.listdir(rewritten)) == sorted(os.listdir(fixture))
+
     def test_missing_payload_is_a_benign_miss_not_corruption(self, tmp_path):
         """A manifest whose payload vanished (concurrent rewrite retired
         it) is a plain miss: no rejection, and the manifest survives —
         the next publisher will repair the entry."""
         store = DictionaryStore(tmp_path)
         store.store("kk", *_store_entry(5))
-        manifest = json.load(open(store.manifest_path_for("kk")))
+        manifest = json.load(open(store.path_for("kk")))
         os.remove(os.path.join(str(tmp_path), manifest["payload"]))
         assert store.load("kk") is None
         assert store.stats.rejected == 0
         assert store.stats.misses == 1
-        assert os.path.exists(store.manifest_path_for("kk"))
+        assert os.path.exists(store.path_for("kk"))
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -522,7 +476,7 @@ class TestDictionaryStore:
     def test_corruption_is_rejected_and_evicted(self, tmp_path, corrupt):
         store = DictionaryStore(tmp_path)
         store.store("kk", *_store_entry(5))
-        manifest_path = store.manifest_path_for("kk")
+        manifest_path = store.path_for("kk")
         manifest = json.load(open(manifest_path))
         payload_path = os.path.join(str(tmp_path), manifest["payload"])
         if corrupt == "truncate_payload":
@@ -556,9 +510,9 @@ class TestDictionaryStore:
         held = store.load("kk")
         new_m, new_sigs = _store_entry(2)
         store.store("kk", new_m, new_sigs)
-        np.testing.assert_array_equal(held["m_crt"], old_m)
+        np.testing.assert_array_equal(held[0], old_m)
         fresh = store.load("kk")
-        np.testing.assert_array_equal(fresh["m_crt"], new_m)
+        np.testing.assert_array_equal(fresh[0], new_m)
         # the stale payload generation was garbage-collected
         payloads = [n for n in os.listdir(tmp_path) if n.endswith(".npy")]
         assert len(payloads) == 1
@@ -573,28 +527,6 @@ class TestDictionaryStore:
         assert store.keys() == ["bbb", "ccc"]
         assert store.clear() == 2
         assert os.listdir(tmp_path) == []
-
-    def test_migrate_legacy_blobs(self, tmp_path):
-        """Blob → store migration carries every readable entry over
-        bit-exactly, skips corrupt blobs, and never rewrites an entry
-        the store already has."""
-        blob = DictionaryCache(tmp_path / "blob")
-        for index, key in enumerate(("aaa", "bbb", "ccc")):
-            blob.store(key, *_store_entry(index))
-        # corrupt one blob; it must be skipped, not crash the migration
-        with open(blob.path_for("ccc"), "wb") as handle:
-            handle.write(b"not a zip")
-        store = DictionaryStore(tmp_path / "store")
-        pre_m, pre_sigs = _store_entry(99)
-        store.store("aaa", pre_m, pre_sigs)  # already present: untouched
-        assert store.migrate_legacy(blob) == 1  # only "bbb"
-        np.testing.assert_array_equal(store.load("aaa")["m_crt"], pre_m)
-        migrated = store.load("bbb")
-        reference = blob.load("bbb")
-        np.testing.assert_array_equal(migrated["m_crt"], reference["m_crt"])
-        for a, b in zip(migrated["signatures"], reference["signatures"]):
-            np.testing.assert_array_equal(a, b)
-        assert store.load("ccc") is None  # corrupt blob was skipped
 
     def test_build_dictionary_accepts_a_store(self, case, tmp_path):
         """The builder treats the store as a drop-in cache backend, and a
@@ -652,29 +584,18 @@ class TestStoreManifestValidation:
 
 
 class TestStoreResolution:
-    def test_format_env_selects_the_store(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_FORMAT", "store")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
-        assert isinstance(resolve_cache(None), DictionaryStore)
-        assert isinstance(resolve_cache(tmp_path / "explicit"), DictionaryStore)
-
-    def test_default_format_is_the_blob_cache(self, tmp_path):
-        assert isinstance(resolve_cache(tmp_path / "d"), DictionaryCache)
-
-    def test_unknown_format_is_an_error(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_FORMAT", "parquet")
-        with pytest.raises(ValueError, match="parquet"):
-            resolve_cache(tmp_path / "d")
-
     def test_explicit_store_instance_wins_over_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_FORMAT", "blob")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
         store = DictionaryStore(tmp_path)
         assert resolve_cache(store) is store
 
     def test_max_entries_env_applies_to_stores(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_FORMAT", "store")
         monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "5")
-        assert resolve_cache(tmp_path / "capped").max_entries == 5
+        by_path = resolve_cache(tmp_path / "capped")
+        assert isinstance(by_path, DictionaryStore)
+        assert by_path.max_entries == 5
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        assert isinstance(resolve_cache(None), DictionaryStore)
 
 
 def _hammer_dictionary_store(directory, key, n_rounds):
@@ -713,10 +634,8 @@ class TestStoreConcurrentReaders:
                 loaded = reader.load(key, verify=True)
                 if loaded is None:
                     continue  # pre-first-publish, or a retired payload
-                np.testing.assert_array_equal(loaded["m_crt"], expected_m)
-                np.testing.assert_array_equal(
-                    loaded["signatures"][0], expected_sigs[0]
-                )
+                np.testing.assert_array_equal(loaded[0], expected_m)
+                np.testing.assert_array_equal(loaded[1], expected_sigs[0])
         finally:
             for process in writers:
                 process.join()
@@ -730,4 +649,4 @@ class TestStoreConcurrentReaders:
         assert not any(n.startswith(".tmp_store_") for n in names)
         final = reader.load(key, verify=True)
         assert final is not None
-        np.testing.assert_array_equal(final["m_crt"], expected_m)
+        np.testing.assert_array_equal(final[0], expected_m)

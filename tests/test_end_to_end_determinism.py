@@ -121,9 +121,9 @@ class TestParallelBackendDeterminism:
 
         config = EvaluationConfig(n_trials=2, n_paths=5, seed=9, cache=tmp_cache)
         first = evaluate_circuit(bench_timing, config)
-        assert tmp_cache.hits == 0
+        assert tmp_cache.stats.hits == 0
         second = evaluate_circuit(bench_timing, config)
-        assert tmp_cache.hits > 0
+        assert tmp_cache.stats.hits > 0
         assert [r.ranks for r in first.records] == [r.ranks for r in second.records]
 
     def test_interrupted_resumed_round_matches_uninterrupted(

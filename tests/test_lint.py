@@ -25,7 +25,7 @@ from repro.circuits.bench_parser import BenchParseError, parse_bench
 from repro.circuits.benchmarks import load_benchmark
 from repro.circuits.library import GateType
 from repro.circuits.netlist import Circuit, Edge
-from repro.core.cache import DictionaryCache
+from repro.core.cache import DictionaryStore
 from repro.lint import (
     LintReport,
     REPORT_SCHEMA,
@@ -325,42 +325,42 @@ def test_suspect_set_s401_s402():
     assert check_suspects(circuit, list(circuit.edges)) == []
 
 
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
 def test_cache_audit_s403_s404_s405(tmp_path):
-    cache = DictionaryCache(tmp_path)
-    m_crt = np.zeros((4, 2))
-    signatures = [np.ones((4, 2))]
-    cache.store("good" * 16, m_crt, signatures)
-    assert check_cache(cache) == []
+    store = DictionaryStore(tmp_path)
+    good, bad = "a" * 64, "b" * 64
+    for key in (good, bad):
+        store.store(key, np.zeros((4, 2)), [np.ones((4, 2))])
+    assert check_cache(store) == []
     assert check_cache(str(tmp_path)) == []
 
     # S405: leftover writer temp file + foreign file
-    (tmp_path / ".tmp_dict_zzz.npz").write_bytes(b"partial")
+    (tmp_path / ".tmp_store_zzz.npy").write_bytes(b"partial")
     (tmp_path / "README.txt").write_text("not a cache entry")
-    # S403: truncated/garbage entry
-    (tmp_path / "dict_corrupt.npz").write_bytes(b"\x00\x01\x02")
-    # S404: valid payload filed under the wrong key
-    stored = cache.path_for("good" * 16)
-    os.rename(stored, str(tmp_path / "dict_renamed.npz"))
-    findings = check_cache(str(tmp_path))
-    counts = rule_counts(findings)
-    assert counts == {"S403": 1, "S404": 1, "S405": 2}
-    # the audit is read-only: nothing was deleted or repaired
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        ".tmp_dict_zzz.npz", "README.txt", "dict_corrupt.npz", "dict_renamed.npz",
-    ]
+    # S403: payload bit rot under an intact manifest
+    payload = json.loads((tmp_path / f"dict_{bad}.json").read_text())["payload"]
+    np.save(tmp_path / payload, np.full((2, 4, 2), 0.5))
+    before = _snapshot(tmp_path)
+    counts = rule_counts(check_cache(str(tmp_path)))
+    # S404 (blob schema drift) is retired: nothing emits it any more
+    assert counts == {"S403": 1, "S405": 2}
+    # the audit is read-only: the directory is byte-unchanged
+    assert _snapshot(tmp_path) == before
 
 
 def test_cache_audit_flags_format_drift(tmp_path):
-    meta = json.dumps({
-        "format": "repro-dictionary-cache-v0",
-        "key": "k",
-        "n_suspects": 0,
-        "checksum": "",
-    })
-    with open(tmp_path / "dict_k.npz", "wb") as handle:
-        np.savez(handle, meta=np.array(meta), m_crt=np.zeros((1, 1)))
-    counts = rule_counts(check_cache(str(tmp_path)))
-    assert counts == {"S404": 1}
+    """A legacy ``.npz`` blob next to a valid store entry is one S405."""
+    DictionaryStore(tmp_path).store("a" * 64, np.zeros((1, 1)), [])
+    np.savez(tmp_path / f"dict_{'c' * 64}.npz", m_crt=np.zeros((1, 1)))
+    findings = check_cache(str(tmp_path))
+    assert rule_counts(findings) == {"S405": 1}
+    assert findings[0].obj == f"cache:dict_{'c' * 64}.npz"
+    assert cli_main([
+        "lint", "--models", "--circuits", "c17", "--cache-dir", str(tmp_path),
+    ]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +418,7 @@ def test_lint_models_clean_on_shipped_benchmarks():
 
 
 def test_run_lint_all_includes_cache_audit(tmp_path):
-    (tmp_path / ".tmp_dict_x").write_bytes(b"")
+    (tmp_path / ".tmp_store_x").write_bytes(b"")
     report = run_lint(
         mode="models", circuits=["c17"], cache_dir=str(tmp_path)
     )

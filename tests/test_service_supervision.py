@@ -376,10 +376,10 @@ class TestHotReload:
     def _rewrite_entry(self, service, store, scale=2.0):
         """Rewrite the workload's store entry with perturbed signatures."""
         key = service.cache_key(WORKLOAD)
-        payload = store.load(key)
-        assert payload is not None
-        signatures = [np.asarray(s) * scale for s in payload["signatures"]]
-        store.store(key, np.asarray(payload["m_crt"]), signatures)
+        stack = store.load(key)
+        assert stack is not None
+        signatures = [np.asarray(s) * scale for s in stack[1:]]
+        store.store(key, np.asarray(stack[0]), signatures)
         return key
 
     def test_reload_swaps_generation_and_answers(
@@ -407,7 +407,7 @@ class TestHotReload:
     def test_reload_without_store_is_typed(self, workload_and_model):
         workload, _model = workload_and_model
         service = _service(workload)
-        with pytest.raises(WorkloadReloadError, match="DictionaryStore"):
+        with pytest.raises(WorkloadReloadError, match="no cache directory"):
             service.reload(WORKLOAD)
 
     def test_invalid_manifest_keeps_old_generation(
@@ -721,10 +721,9 @@ class TestServerOperations:
         service = _service(workload, cache=store)
         service.warm_all()
         key = service.cache_key(WORKLOAD)
-        payload = store.load(key)
+        stack = store.load(key)
         store.store(
-            key, np.asarray(payload["m_crt"]),
-            [np.asarray(s) * 2.0 for s in payload["signatures"]],
+            key, np.asarray(stack[0]), [np.asarray(s) * 2.0 for s in stack[1:]]
         )
         with _threaded_server(service) as (server, _loop):
             with ServiceClient("127.0.0.1", server.port) as client:
