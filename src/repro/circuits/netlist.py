@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .library import GateType, eval_gate
 
 __all__ = ["Gate", "Edge", "Circuit", "CircuitError"]
@@ -94,6 +96,8 @@ class Circuit:
         self._levels: Optional[Dict[str, int]] = None
         self._topo_index: Optional[Dict[str, int]] = None
         self._fanout_cone_cache: Dict[str, List[str]] = {}
+        self._output_rows: Optional[Dict[str, int]] = None
+        self._fanout_outputs_cache: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -269,6 +273,28 @@ class Circuit:
         # cones are typically tiny next to the circuit, and this runs once
         # per (net, circuit) but for every suspect sink of a dictionary.
         return sorted(seen, key=self.topological_index.__getitem__)
+
+    def fanout_output_rows(self, net: str) -> np.ndarray:
+        """Positions in :attr:`outputs` of the outputs in ``fanout_cone(net)``.
+
+        In cone (topological) order, memoized per net like
+        :meth:`fanout_cone`: the dictionary builder asks once per suspect
+        sink per build.  The returned array is read-only.
+        """
+        cached = self._fanout_outputs_cache.get(net)
+        if cached is None:
+            if self._output_rows is None:
+                self._output_rows = {
+                    output: row for row, output in enumerate(self.outputs)
+                }
+            rows = self._output_rows
+            cached = np.array(
+                [rows[n] for n in self.fanout_cone(net) if n in rows],
+                dtype=np.int64,
+            )
+            cached.setflags(write=False)
+            self._fanout_outputs_cache[net] = cached
+        return cached
 
     def outputs_reachable_from(self, net: str) -> List[str]:
         cone = set(self.fanout_cone(net))

@@ -7,14 +7,20 @@ for every suspect fault ``i`` it holds the signature probability matrix
 
 the suspect's *additional contribution* to each output/pattern critical
 probability.  Construction cost is dominated by the per-suspect dynamic
-re-simulations; two structural facts keep it tractable:
+re-simulations; three structural facts keep it tractable:
 
 * logic values never change under a delay defect, so only settle times in
   the suspect edge's fanout cone need re-evaluation
   (:func:`repro.timing.dynamic.resimulate_with_extra`),
 * a suspect can only affect patterns that launch a transition through its
   edge, and only outputs in its fanout cone — other entries are copied
-  from ``M_crt`` without simulation.
+  from ``M_crt`` without simulation,
+* settle times are min/max-plus functions of the edge delays, so adding
+  ``x(s)`` to one edge moves every settle time by at most ``|x(s)|``, in
+  the direction of ``x(s)`` (the 1-Lipschitz crossing bound).  An output
+  whose base samples all sit farther than that from every clock keeps
+  every threshold decision, so plain builds never replay for it
+  (:data:`CROSSING_TOL` absorbs float rounding).
 
 On top of that, construction exploits three scaling levers (all
 preserving bit-exact results):
@@ -44,6 +50,7 @@ installed every hook is a no-op and the build is bit-identical either way.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -73,6 +80,13 @@ __all__ = [
     "build_dictionary",
     "build_multi_clock_dictionary",
 ]
+
+#: Slack of the crossing bound, relative to ``max(1, |clk|)``.  A replay
+#: rounds ``delay + x`` once and each cone level's ``settle + delay``
+#: once, so a replayed settle time can overshoot ``base + x`` by a few
+#: ulps per level; 1e-9 is many orders of magnitude above that for any
+#: cone depth, so pruning by the bound never drops a crossing sample.
+CROSSING_TOL = 1e-9
 
 
 @dataclass
@@ -186,41 +200,127 @@ def _transition_matrix(
     return matrix
 
 
-def _sink_plan(
+def _output_thresholds(
+    circuit: Circuit,
+    base_simulations: Sequence[TransitionSimResult],
+    transitioned: np.ndarray,
+    clks: Tuple[float, ...],
+    size_samples: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``M_crt`` and the ``(n_patterns, n_outputs)`` bool mask of live entries.
+
+    One gather of each simulation's transitioning output rows serves every
+    clock.  ``M_crt`` is bit-identical to stacking
+    :meth:`TransitionSimResult.error_vector` per clock: the same bool
+    means over the same rows.  An output is live when it transitions (a
+    delay defect never changes logic, so a quiet output stays quiet).
+
+    With ``size_samples`` (plain builds), an entry also has to pass the
+    crossing bound: adding ``x(s)`` to one edge of the min/max-plus
+    network moves every settle time by at most ``x(s)``, in the direction
+    of its sign.  If no sample of the output can cross any clock, every
+    replay thresholds to exactly the base decision and the signature
+    entry is ``+0.0``, so it is dropped from the live mask.
+    """
+    outputs = circuit.outputs
+    n_patterns = len(base_simulations)
+    topo_index = circuit.topological_index
+    live = transitioned[:, [topo_index[net] for net in outputs]]
+    m_crt = np.zeros((len(outputs), n_patterns * len(clks)))
+    if size_samples is not None:
+        rise = np.maximum(size_samples, 0.0)
+        fall = np.minimum(size_samples, 0.0)
+    recorder = obs.get_recorder()
+    for column, sim in enumerate(base_simulations):
+        rows = np.flatnonzero(live[column])
+        if not rows.size:
+            continue
+        nets = [outputs[row] for row in rows]
+        stable = sim.stable
+        take = getattr(stable, "take_rows", None)
+        settles = (
+            take(nets) if take is not None
+            else np.stack([stable[net] for net in nets])
+        )
+        if recorder.enabled:
+            recorder.observe("dynamic.settle", settles.ravel())
+        if size_samples is not None:
+            crossable = np.zeros(rows.size, dtype=bool)
+            late_max = settles + rise
+            early_min = settles + fall
+        for block, clk in enumerate(clks):
+            late = settles > clk
+            m_crt[rows, block * n_patterns + column] = late.mean(axis=1)
+            if size_samples is not None:
+                tol = CROSSING_TOL * max(1.0, abs(clk))
+                # Written as "the decision provably stays", so a NaN
+                # settle time or size counts as crossable.
+                stays = np.where(
+                    late, early_min - tol > clk, late_max + tol <= clk
+                )
+                crossable |= ~stays.all(axis=1)
+        if size_samples is not None:
+            live[column, rows] = crossable
+    return m_crt, live
+
+
+def _sink_plans(
     circuit: Circuit,
     transitioned: np.ndarray,
-    output_row: Dict[str, int],
-    sink: str,
-) -> _SinkPlan:
-    """Compute the shared activity plan for all suspects into ``sink``.
+    live: np.ndarray,
+    sinks: Sequence[str],
+) -> Dict[str, _SinkPlan]:
+    """The shared activity plan of every suspect sink.
 
     ``transitioned`` is the :func:`_transition_matrix` of the base
-    simulations — one vectorized row probe per (sink, pattern) instead of
-    a Python loop over every reachable output.
+    simulations and ``live`` the :func:`_output_thresholds` mask.  The
+    defect only matters when the test launches a transition through the
+    defective segment's sink gate, so one ``(n_sinks, n_patterns)`` mask
+    of "the sink toggles and some output is live" settles most sinks at
+    once; each remaining sink takes one 2-D probe of its cone outputs.
     """
-    cone = circuit.fanout_cone(sink)
-    affected = [(output_row[net], net) for net in cone if net in output_row]
-    activity: List[Tuple[int, np.ndarray, List[str]]] = []
-    if affected:
-        topo_index = circuit.topological_index
-        affected_cols = np.array(
-            [topo_index[net] for _row, net in affected], dtype=np.int64
-        )
-        # The defect only matters when the test launches a transition
-        # through the defective segment's sink gate; extra delay never
-        # changes logic values, so an output that does not transition
-        # under the base simulation cannot transition under the defect.
-        for column in np.flatnonzero(transitioned[:, topo_index[sink]]):
-            live = np.flatnonzero(transitioned[column, affected_cols])
-            if live.size:
+    topo_index = circuit.topological_index
+    outputs = circuit.outputs
+    sinks = list(sinks)
+    toggles = transitioned[:, [topo_index[sink] for sink in sinks]].T
+    candidate = (toggles & live.any(axis=1)).any(axis=1)
+    plans: Dict[str, _SinkPlan] = {}
+    for sink, sink_toggles, any_live in zip(sinks, toggles, candidate.tolist()):
+        activity: List[Tuple[int, np.ndarray, List[str]]] = []
+        if any_live:
+            out_rows = circuit.fanout_output_rows(sink)
+            columns = np.flatnonzero(sink_toggles)
+            mask = live[columns[:, None], out_rows]
+            hit = mask.any(axis=1)
+            for column, entry in zip(columns[hit], mask[hit]):
+                rows = out_rows[entry]
                 activity.append(
-                    (
-                        int(column),
-                        np.array([affected[i][0] for i in live]),
-                        [affected[i][1] for i in live],
-                    )
+                    (int(column), rows, [outputs[row] for row in rows])
                 )
-    return cone, activity
+        plans[sink] = (circuit.fanout_cone(sink), activity)
+    return plans
+
+
+def _pruned_entries(
+    circuit: Circuit,
+    transitioned: np.ndarray,
+    plan_by_sink: Dict[str, _SinkPlan],
+    sink_suspects: Counter,
+) -> int:
+    """Transitioning (suspect, pattern, output) entries the crossing bound
+    dropped from the plans (a ``dictionary.entries_pruned`` count)."""
+    topo_index = circuit.topological_index
+    toggling_outputs = transitioned[
+        :, [topo_index[net] for net in circuit.outputs]
+    ]
+    pruned = 0
+    for sink, (_cone, activity) in plan_by_sink.items():
+        columns = transitioned[:, topo_index[sink]]
+        cone_rows = circuit.fanout_output_rows(sink)
+        toggling = int(toggling_outputs[columns][:, cone_rows].sum())
+        kept = sum(len(rows) for _column, rows, _nets in activity)
+        pruned += (toggling - kept) * sink_suspects[sink]
+    return pruned
 
 
 def _signatures_for_chunk(
@@ -544,23 +644,28 @@ def build_multi_clock_dictionary(
             raise ValueError("one base simulation per pattern required")
 
         n_patterns = len(pattern_list)
+        transitioned = _transition_matrix(circuit, base_simulations)
         with recorder.span("dictionary.m_crt"):
-            m_crt = np.zeros((len(circuit.outputs), n_patterns * len(clks)))
-            for block, clk in enumerate(clks):
-                for column, sim in enumerate(base_simulations):
-                    m_crt[:, block * n_patterns + column] = sim.error_vector(clk)
+            # Sampled builds estimate every transitioning entry, so only
+            # the plain path prunes by the crossing bound.
+            m_crt, live = _output_thresholds(
+                circuit, base_simulations, transitioned, clks,
+                None if sampled else size_samples,
+            )
 
         recorder.count("dictionary.builds")
         recorder.count("dictionary.suspects", len(suspects))
         recorder.count("dictionary.patterns", n_patterns)
         recorder.count("dictionary.clocks", len(clks))
 
-        output_row = {net: row for row, net in enumerate(circuit.outputs)}
-        transitioned = _transition_matrix(circuit, base_simulations)
-        plan_by_sink = {
-            sink: _sink_plan(circuit, transitioned, output_row, sink)
-            for sink in {edge.sink for edge in suspects}
-        }
+        sink_suspects = Counter(edge.sink for edge in suspects)
+        plan_by_sink = _sink_plans(circuit, transitioned, live, sink_suspects)
+        if recorder.enabled and not sampled:
+            pruned = _pruned_entries(
+                circuit, transitioned, plan_by_sink, sink_suspects
+            )
+            if pruned:
+                recorder.count("dictionary.entries_pruned", pruned)
         job = _SignatureJob(
             base_simulations=base_simulations,
             clks=clks,

@@ -30,6 +30,9 @@ one pattern, so the replayed slice is tiny compared to the circuit.  Cone
 restrictions are cached per schedule, keyed by the identity of the
 (read-only, memoized) cone list the dictionary builder passes, so the
 steady-state replay does no set building and no per-edge scans at all.
+A replay whose extra delay sits only on non-candidate pins of the pattern
+(edges missing from the schedule) cannot change a settle time, so it
+returns the base result without touching a cone at all.
 
 Bit-identity with the reference kernel is a hard contract
 (``tests/test_kernel.py``): min/max reductions are exact selections, and
@@ -681,6 +684,15 @@ def resimulate_with_extra_compiled(
     schedule = base.kernel_state
     if not isinstance(schedule, PatternSchedule):
         raise TypeError("base result does not carry a compiled-kernel schedule")
+    recorder = obs.get_recorder()
+    # Extra delay on a pin that is not a candidate of its gate's reduction
+    # never enters the schedule (nor the reference ``_gate_settle_time``),
+    # so such a replay reproduces the base bit-for-bit: skip the cone.
+    edge_pos = schedule.edge_pos
+    if not any(int(edge_index) in edge_pos for edge_index in extra_delay):
+        if recorder.enabled:
+            recorder.count("kernel.replays_skipped")
+        return base
     timing = base.timing
     circuit = timing.circuit
 
@@ -698,7 +710,6 @@ def resimulate_with_extra_compiled(
         affected = set(affected)
         if not affected:
             return base
-    recorder = obs.get_recorder()
     if recorder.enabled:
         recorder.count("dynamic.resimulations")
         recorder.count("dynamic.nets_recomputed", len(affected))
@@ -794,11 +805,18 @@ def replay_cone_sizes_compiled(
     base_stable = base.stable
     if not isinstance(base_stable, StableTimes):
         raise TypeError("compiled re-simulation requires a compiled base result")
+    recorder = obs.get_recorder()
+    if schedule.edge_pos.get(int(edge_index)) is None:
+        # Not a candidate pin under this pattern: every vector replays to
+        # the base rows (see resimulate_with_extra_compiled).
+        if recorder.enabled:
+            recorder.count("kernel.replays_skipped", len(size_vectors))
+        out[:] = base_stable.take_rows(nets)
+        return out
     cone = schedule.cone_for(affected)
     overlay_rows = cone.overlay_rows
     row_index = [overlay_rows.get(net) for net in nets]
 
-    recorder = obs.get_recorder()
     if recorder.enabled:
         recorder.count("dynamic.resimulations", len(size_vectors))
         recorder.count(

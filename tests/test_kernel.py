@@ -363,13 +363,31 @@ class TestMemoization:
             simulate_transition(small_timing, v1, v2)
             assert recorder.counter_value("kernel.schedules_built") == 1
             assert recorder.counter_value("kernel.schedule_reuse") == 1
+            # A candidate pin of the pattern, so the replay needs a cone.
+            edge = int(base.kernel_state.all_edges[0])
             cone = small_timing.circuit.fanout_cone(
-                small_timing.circuit.edges[3].sink
+                small_timing.circuit.edges[edge].sink
             )
-            resimulate_with_extra(base, {3: 0.5}, affected=cone)
-            resimulate_with_extra(base, {3: 0.7}, affected=cone)
+            resimulate_with_extra(base, {edge: 0.5}, affected=cone)
+            resimulate_with_extra(base, {edge: 0.7}, affected=cone)
             assert recorder.counter_value("kernel.cone_schedules") == 1
             assert recorder.counter_value("kernel.cone_reuse") == 1
+
+    def test_non_candidate_pin_returns_base_without_a_cone(self, small_timing):
+        circuit = small_timing.circuit
+        v1, v2 = _vectors(circuit, 12)
+        base = simulate_transition(small_timing, v1, v2)
+        candidates = set(base.kernel_state.edge_pos)
+        edge = next(i for i in range(len(circuit.edges)) if i not in candidates)
+        cone = circuit.fanout_cone(circuit.edges[edge].sink)
+        with obs.use_recorder(obs.Recorder()) as recorder:
+            assert resimulate_with_extra(base, {edge: 5.0}, affected=cone) is base
+            assert resimulate_with_extra(base, {edge: 5.0}) is base
+            assert recorder.counter_value("kernel.replays_skipped") == 2
+            assert recorder.counter_value("kernel.cone_schedules") == 0
+            assert recorder.counter_value("dynamic.resimulations") == 0
+        reference = resimulate_with_extra_reference(base, {edge: 5.0}, cone)
+        _assert_same_sim(reference, base)
 
 
 # ----------------------------------------------------------------------

@@ -316,6 +316,46 @@ class TestDisabledMode:
         obs.disable()
         assert not obs.enabled()
 
+    def test_replay_pruning_counted_only_when_enabled(self, c17_timing):
+        """Skipped replays and pruned entries are counted on a live
+        recorder; the disabled build records nothing and is bit-identical."""
+        from repro.core import build_multi_clock_dictionary
+        from repro.timing import simulate_pattern_set
+
+        circuit = c17_timing.circuit
+        rng = np.random.default_rng(0)
+        patterns = [
+            (
+                rng.integers(0, 2, len(circuit.inputs)),
+                rng.integers(0, 2, len(circuit.inputs)),
+            )
+            for _ in range(20)
+        ]
+        sims = simulate_pattern_set(c17_timing, patterns)
+        clk = float(np.median([
+            sim.stable[net].max()
+            for sim in sims
+            for net in circuit.outputs
+            if sim.transitioned(net)
+        ]))
+
+        def build():
+            return build_multi_clock_dictionary(
+                c17_timing, patterns, [clk, 1.02 * clk], list(circuit.edges),
+                np.full(c17_timing.space.n_samples, 0.9),
+                base_simulations=sims,
+            )
+
+        with obs.use_recorder(obs.Recorder()) as recorder:
+            traced = build()
+        assert recorder.counter_value("kernel.replays_skipped") > 0
+        assert recorder.counter_value("dictionary.entries_pruned") > 0
+        assert recorder.counter_value("dynamic.resimulations") > 0
+        plain = build()
+        assert obs.get_recorder().snapshot()["counters"] == {}
+        assert np.array_equal(plain.m_crt, traced.m_crt)
+        assert np.array_equal(plain.signature_stack(), traced.signature_stack())
+
 
 # ----------------------------------------------------------------------
 # manifests

@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 
 from repro.atpg import generate_path_tests
-from repro.core import build_dictionary, suspect_edges, trace_sensitized_edges
+from repro.core import (
+    build_dictionary,
+    build_multi_clock_dictionary,
+    suspect_edges,
+    trace_sensitized_edges,
+)
 from repro.defects import SingleDefectModel, behavior_matrix
-from repro.timing import diagnosis_clock, simulate_pattern_set, simulate_transition
+from repro.timing import (
+    CircuitTiming,
+    SampleSpace,
+    diagnosis_clock,
+    simulate_pattern_set,
+    simulate_transition,
+)
+from repro.timing.dynamic import replay_sizes
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +176,114 @@ class TestDictionary:
             model.dictionary_size_variable().samples, base_simulations=sims,
         )
         assert len(dictionary) == 1
+
+
+def _random_pairs(circuit, seed, count):
+    rng = np.random.default_rng(seed)
+    return [
+        (
+            rng.integers(0, 2, len(circuit.inputs)),
+            rng.integers(0, 2, len(circuit.inputs)),
+        )
+        for _ in range(count)
+    ]
+
+
+def _adversarial_sizes(n_samples):
+    """Mostly zeros, a few spikes, one small value and one negative."""
+    sizes = np.zeros(n_samples)
+    sizes[::7] = 40.0
+    sizes[3] = 0.25
+    sizes[5] = -0.5
+    return sizes
+
+
+def _adversarial_clocks(circuit, sims, sizes):
+    """A median clock plus clocks exactly at ``base(o, s) + x(s)`` of live
+    entries, where a replay's threshold decision is on a knife edge."""
+    settles = [
+        sim.stable[net]
+        for sim in sims
+        for net in circuit.outputs
+        if sim.transitioned(net)
+    ]
+    clocks = [float(np.median(np.concatenate(settles)))]
+    for index, row in enumerate(settles[:: max(1, len(settles) // 3)]):
+        sample = [3, 5, 7][index % 3]
+        clocks.append(float(row[sample] + sizes[sample]))
+    return clocks
+
+
+class TestDictionaryOracle:
+    """Every signature entry equals ``E - M`` from full re-simulations
+    (Definition E.1), so pruned replays can never change a bit."""
+
+    @pytest.mark.parametrize("kernel", ["compiled", "reference"])
+    @pytest.mark.parametrize("circuit_name", ["c17", "s27", "small_synth"])
+    def test_signatures_match_full_resimulation(
+        self, request, monkeypatch, kernel, circuit_name
+    ):
+        monkeypatch.setenv("REPRO_TIMING_KERNEL", kernel)
+        circuit = request.getfixturevalue(circuit_name)
+        timing = CircuitTiming(circuit, SampleSpace(n_samples=48, seed=3))
+        patterns = _random_pairs(circuit, 11, 6)
+        sims = simulate_pattern_set(timing, patterns)
+        sizes = _adversarial_sizes(timing.space.n_samples)
+        clocks = _adversarial_clocks(circuit, sims, sizes)
+        dictionary = build_multi_clock_dictionary(
+            timing, patterns, clocks, list(circuit.edges), sizes,
+            base_simulations=sims,
+        )
+        m_crt = np.concatenate(
+            [
+                np.stack([sim.error_vector(clk) for sim in sims], axis=1)
+                for clk in clocks
+            ],
+            axis=1,
+        )
+        assert np.array_equal(dictionary.m_crt, m_crt)
+        for index, edge in enumerate(circuit.edges):
+            defective = [
+                simulate_transition(timing, v1, v2, extra_delay={index: sizes})
+                for v1, v2 in patterns
+            ]
+            e_crt = np.concatenate(
+                [
+                    np.stack(
+                        [sim.error_vector(clk) for sim in defective], axis=1
+                    )
+                    for clk in clocks
+                ],
+                axis=1,
+            )
+            assert np.array_equal(dictionary.signatures[edge], e_crt - m_crt), edge
+
+    @pytest.mark.parametrize("kernel", ["compiled", "reference"])
+    def test_replay_sizes_identical_on_non_candidate_edges(
+        self, monkeypatch, small_timing, kernel
+    ):
+        circuit = small_timing.circuit
+        sizes = _adversarial_sizes(small_timing.space.n_samples)
+        # Compiled bases carry the schedule that names the candidate pins;
+        # the kernel under test then runs the replays.
+        compiled = [
+            simulate_transition(small_timing, v1, v2)
+            for v1, v2 in _random_pairs(circuit, 5, 4)
+        ]
+        monkeypatch.setenv("REPRO_TIMING_KERNEL", kernel)
+        checked = 0
+        for sim in compiled:
+            candidates = sim.kernel_state.edge_pos
+            for index, edge in enumerate(circuit.edges):
+                if index in candidates:
+                    continue
+                cone = circuit.fanout_cone(edge.sink)
+                nets = [net for net in cone if net in circuit.outputs] + [
+                    edge.sink
+                ]
+                replayed = replay_sizes(sim, index, [sizes, 2 * sizes], cone, nets)
+                base_rows = np.stack([sim.stable[net] for net in nets])
+                assert np.array_equal(replayed[0], base_rows)
+                assert np.array_equal(replayed[1], base_rows)
+                checked += 1
+        assert checked
