@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..circuits.netlist import Circuit
+from ..logic.simulator import evaluate_two_frame, frame_values
 from ..rng import RngLike, coerce_rng
 from ..paths.sensitization import Sensitization, classify_path_sensitization
 from ..timing.dynamic import simulate_transition
@@ -89,8 +90,7 @@ def _feasible(
     v2: List[int],
     criterion: Sensitization,
 ) -> bool:
-    val1 = circuit.evaluate(dict(zip(circuit.inputs, v1)))
-    val2 = circuit.evaluate(dict(zip(circuit.inputs, v2)))
+    val1, val2 = frame_values(circuit, evaluate_two_frame(circuit, v1, v2))
     return classify_path_sensitization(circuit, test_path, val1, val2).at_least(
         criterion
     )
@@ -171,8 +171,7 @@ def optimize_fill(
 
     best_fitness, best_genome = scored[0]
     v1, v2 = vectors_of(best_genome)
-    val1 = circuit.evaluate(dict(zip(circuit.inputs, v1)))
-    val2 = circuit.evaluate(dict(zip(circuit.inputs, v2)))
+    val1, val2 = frame_values(circuit, evaluate_two_frame(circuit, v1, v2))
     achieved = classify_path_sensitization(circuit, test.path, val1, val2)
     optimized = PathTest(test.path, v1, v2, test.rising_at_input, achieved)
     return FillResult(

@@ -32,6 +32,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..circuits.library import CONTROLLING_VALUE, GateType, INVERTING
 from ..circuits.netlist import Circuit
+from ..logic.simulator import evaluate_two_frame, frame_values
 from ..rng import RngLike, coerce_rng
 from ..paths.model import Path
 from ..paths.sensitization import Sensitization, classify_path_sensitization
@@ -198,8 +199,9 @@ def generate_test_for_path(
             fills = ["quiet"] + ["random"] * max(fill_attempts - 1, 0)
             for fill in fills:
                 v1, v2 = result.vectors(circuit, rng, fill=fill)
-                val1 = circuit.evaluate(dict(zip(circuit.inputs, v1)))
-                val2 = circuit.evaluate(dict(zip(circuit.inputs, v2)))
+                val1, val2 = frame_values(
+                    circuit, evaluate_two_frame(circuit, v1, v2)
+                )
                 achieved = classify_path_sensitization(circuit, path, val1, val2)
                 if achieved.at_least(criterion):
                     return PathTest(path, v1, v2, rising, achieved)

@@ -175,7 +175,7 @@ def generate_path_tests(
     # the practical realization of H-4's "find a set of longest [testable]
     # paths through the fault site".
     if len(tests) < n_paths:
-        tables = longest_delay_tables(timing)
+        tables = longest_delay_tables(timing, site)
         max_attempts = 12 * n_paths
         for attempt in range(max_attempts):
             if len(tests) >= n_paths:

@@ -306,8 +306,15 @@ class Circuit:
     def evaluate(self, assignment: Dict[str, int]) -> Dict[str, int]:
         """Evaluate every net for a complete primary-input assignment.
 
-        This is the slow, obviously-correct reference evaluator used by the
-        test-suite as an oracle for the bit-parallel simulator.
+        This is the slow, obviously-correct reference evaluator.  The
+        test-suite uses it as the oracle for the bit-parallel simulator
+        and for :func:`repro.logic.simulator.evaluate_two_frame`, which
+        does the production two-vector evaluation (pattern schedules, ATPG
+        sensitization and fill checks).  The remaining library callers
+        are the reference timing kernel (kept independent of the compiled
+        one it is checked against), the event simulator's initial state
+        and broadside generation, whose ``v2`` derives from ``v1``'s
+        settled state.
         """
         values: Dict[str, int] = {}
         for name in self.topological_order:

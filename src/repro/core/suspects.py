@@ -21,7 +21,7 @@ import numpy as np
 from ..circuits.library import GateType
 from ..circuits.netlist import Edge
 from ..paths.sensitization import sensitized_input_pins
-from ..timing.dynamic import TransitionSimResult
+from ..timing.dynamic import TransitionSimResult, edge_offsets
 
 __all__ = ["trace_sensitized_edges", "suspect_edges"]
 
@@ -87,5 +87,5 @@ def suspect_edges(
         for row, output in enumerate(circuit.outputs):
             if behavior[row, column]:
                 collected.update(trace_sensitized_edges(sim, output))
-    order = {edge: index for index, edge in enumerate(circuit.edges)}
-    return sorted(collected, key=lambda edge: order[edge])
+    offsets = edge_offsets(circuit)
+    return sorted(collected, key=lambda edge: offsets[edge.sink] + edge.pin)

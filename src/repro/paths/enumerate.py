@@ -6,7 +6,14 @@ then what the diagnosis observes.  We implement:
 
 * :func:`k_longest_paths_through` — exact K-longest (by mean delay) paths
   through a given edge or net, via top-K dynamic programming on prefixes
-  (PI -> site) and suffixes (site -> PO) and a best-combination merge,
+  (PI -> site) and suffixes (site -> PO) and a best-combination merge.
+  A net's prefix table depends only on its fanin cone and its suffix
+  table only on its fanout cone, so the DP runs over just
+  ``fanin_cone(site source)`` and ``fanout_cone(site sink)`` — a few
+  percent of the nets of a large circuit — and yields exactly the
+  whole-circuit entries for those nets.  Nothing is cached between calls:
+  the tables depend on the delays, and rebuilding a cone is cheaper than
+  keeping every site's tables alive,
 * :func:`k_longest_paths` — K-longest paths overall (used for clock-path
   studies and the pattern-quality example),
 * :func:`rank_statistically` — re-rank candidate paths by statistical
@@ -27,6 +34,7 @@ import numpy as np
 
 from ..circuits.library import GateType
 from ..circuits.netlist import Circuit, Edge
+from ..timing.dynamic import edge_offsets
 from ..timing.instance import CircuitTiming
 from .model import Path
 
@@ -40,8 +48,11 @@ def _mean_edge_delays(timing: CircuitTiming) -> np.ndarray:
     return timing.delays.mean(axis=1)
 
 
-def _edge_index_map(circuit: Circuit) -> Dict[Tuple[str, str, int], int]:
-    return {(e.source, e.sink, e.pin): i for i, e in enumerate(circuit.edges)}
+def _site_ends(site: Union[Edge, str]) -> Tuple[str, str]:
+    """(net the prefixes end at, net the suffixes start at) for a site."""
+    if isinstance(site, Edge):
+        return site.source, site.sink
+    return site, site
 
 
 def _merge_top_k(candidates: List[_Scored], k: int) -> List[_Scored]:
@@ -58,17 +69,14 @@ def _merge_top_k(candidates: List[_Scored], k: int) -> List[_Scored]:
 
 
 def _top_k_prefixes(
-    circuit: Circuit, delays: np.ndarray, k: int
+    circuit: Circuit, delays: np.ndarray, k: int, cone: Sequence[str]
 ) -> Dict[str, List[_Scored]]:
-    """Top-k longest PI->net partial paths for every net (forward DP)."""
-    offsets: Dict[str, int] = {}
-    offset = 0
-    for name in circuit.topological_order:
-        offsets[name] = offset
-        offset += len(circuit.gates[name].fanins)
-
+    """Top-k longest PI->net partial paths for every net of ``cone``
+    (forward DP).  ``cone`` must be in topological order and closed under
+    fanins: the whole circuit, or a fanin cone."""
+    offsets = edge_offsets(circuit)
     prefixes: Dict[str, List[_Scored]] = {}
-    for name in circuit.topological_order:
+    for name in cone:
         gate = circuit.gates[name]
         if gate.gate_type is GateType.INPUT:
             prefixes[name] = [(0.0, (name,))]
@@ -84,18 +92,20 @@ def _top_k_prefixes(
 
 
 def _top_k_suffixes(
-    circuit: Circuit, delays: np.ndarray, k: int
+    circuit: Circuit, delays: np.ndarray, k: int, cone: Sequence[str]
 ) -> Dict[str, List[_Scored]]:
-    """Top-k longest net->PO partial paths for every net (backward DP)."""
-    index_of = _edge_index_map(circuit)
+    """Top-k longest net->PO partial paths for every net of ``cone``
+    (backward DP).  ``cone`` must be in topological order and closed under
+    fanouts: the whole circuit, or a fanout cone."""
+    offsets = edge_offsets(circuit)
     output_set = set(circuit.outputs)
     suffixes: Dict[str, List[_Scored]] = {}
-    for name in reversed(circuit.topological_order):
+    for name in reversed(cone):
         candidates: List[_Scored] = []
         if name in output_set:
             candidates.append((0.0, (name,)))
         for edge in circuit.fanouts[name]:
-            delay = float(delays[index_of[(edge.source, edge.sink, edge.pin)]])
+            delay = float(delays[offsets[edge.sink] + edge.pin])
             for score, nets in suffixes.get(edge.sink, []):
                 # stored suffixes start at edge.sink; prepend this net
                 candidates.append((score + delay, (name,) + nets))
@@ -112,17 +122,18 @@ def k_longest_paths_through(
 
     ``site`` may be an :class:`Edge` (segment defect site, Definition D.9)
     or a net name (all paths through the net).  Exact: combines top-k
-    prefixes of the site's source with top-k suffixes of its sink.
+    prefixes of the site's source with top-k suffixes of its sink, each
+    table built over that net's cone only.
     """
     circuit = timing.circuit
     delays = _mean_edge_delays(timing)
-    prefixes = _top_k_prefixes(circuit, delays, k)
-    suffixes = _top_k_suffixes(circuit, delays, k)
-    index_of = _edge_index_map(circuit)
+    source, sink = _site_ends(site)
+    prefixes = _top_k_prefixes(circuit, delays, k, circuit.fanin_cone(source))
+    suffixes = _top_k_suffixes(circuit, delays, k, circuit.fanout_cone(sink))
 
     combos: List[_Scored] = []
     if isinstance(site, Edge):
-        edge_delay = float(delays[index_of[(site.source, site.sink, site.pin)]])
+        edge_delay = float(delays[edge_offsets(circuit)[site.sink] + site.pin])
         for pre_score, pre in prefixes.get(site.source, []):
             for suf_score, suf in suffixes.get(site.sink, []):
                 combos.append(
@@ -141,7 +152,7 @@ def k_longest_paths(timing: CircuitTiming, k: int = 5) -> List[Path]:
     """The ``k`` longest (mean-delay) input-to-output paths in the circuit."""
     circuit = timing.circuit
     delays = _mean_edge_delays(timing)
-    prefixes = _top_k_prefixes(circuit, delays, k)
+    prefixes = _top_k_prefixes(circuit, delays, k, circuit.topological_order)
     combos: List[_Scored] = []
     for output in circuit.outputs:
         combos.extend(prefixes.get(output, []))
@@ -151,24 +162,30 @@ def k_longest_paths(timing: CircuitTiming, k: int = 5) -> List[Path]:
 
 def longest_delay_tables(
     timing: CircuitTiming,
+    site: Optional[Union[Edge, str]] = None,
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
     """Per-net longest mean-delay from any PI / to any PO.
 
     Guidance tables for the randomized path sampler: ``prefix[net]`` is the
     longest mean delay of any PI->net partial path, ``suffix[net]`` of any
-    net->PO partial path (``-inf`` for nets that reach no output).
+    net->PO partial path (``-inf`` for nets that reach no output).  With a
+    ``site``, only the nets :func:`sample_path_through` can visit for it
+    get entries — ``prefix`` over the fanin cone of the site's source,
+    ``suffix`` over the fanout cone of its sink — with the same values as
+    the whole-circuit tables.
     """
     circuit = timing.circuit
     delays = _mean_edge_delays(timing)
-    index_of = _edge_index_map(circuit)
-    offsets: Dict[str, int] = {}
-    offset = 0
-    for name in circuit.topological_order:
-        offsets[name] = offset
-        offset += len(circuit.gates[name].fanins)
+    offsets = edge_offsets(circuit)
+    if site is None:
+        prefix_nets = suffix_nets = circuit.topological_order
+    else:
+        source, sink = _site_ends(site)
+        prefix_nets = circuit.fanin_cone(source)
+        suffix_nets = circuit.fanout_cone(sink)
 
     prefix: Dict[str, float] = {}
-    for name in circuit.topological_order:
+    for name in prefix_nets:
         gate = circuit.gates[name]
         if gate.gate_type is GateType.INPUT:
             prefix[name] = 0.0
@@ -180,10 +197,10 @@ def longest_delay_tables(
         )
     suffix: Dict[str, float] = {}
     output_set = set(circuit.outputs)
-    for name in reversed(circuit.topological_order):
+    for name in reversed(suffix_nets):
         best = 0.0 if name in output_set else float("-inf")
         for edge in circuit.fanouts[name]:
-            delay = float(delays[index_of[(edge.source, edge.sink, edge.pin)]])
+            delay = float(delays[offsets[edge.sink] + edge.pin])
             candidate = suffix.get(edge.sink, float("-inf")) + delay
             if candidate > best:
                 best = candidate
@@ -205,10 +222,13 @@ def sample_path_through(
     reproduces *the* longest path; ``bias=0`` is a uniform random walk —
     lowering the bias is how the ATPG escapes clusters of false long paths
     while keeping tests as long as it can (Section G's "select long paths to
-    sensitize the faults").
+    sensitize the faults").  ``tables`` may be passed in from
+    :func:`longest_delay_tables`, for the whole circuit or for this site.
     """
     circuit = timing.circuit
-    prefix, suffix = tables if tables is not None else longest_delay_tables(timing)
+    prefix, suffix = (
+        tables if tables is not None else longest_delay_tables(timing, site)
+    )
 
     if isinstance(site, Edge):
         back_start, forward_start = site.source, site.sink

@@ -118,7 +118,9 @@ class TransitionSimResult:
     ``stable[net]`` has shape ``(width,)`` where ``width`` is the number of
     simulated samples (the full sample space, or 1 for an instance-level
     simulation).  ``val1``/``val2`` are the settled logic values — identical
-    across samples since delays never change logic.
+    across samples since delays never change logic; the reference kernel
+    stores dicts, the compiled kernel read-only views of its schedule's
+    packed values (:class:`repro.logic.simulator.FrameValues`).
 
     ``stable`` is a mapping from net name to settle-time vector; the
     reference kernel materializes a plain dict of per-net arrays while the
@@ -131,8 +133,8 @@ class TransitionSimResult:
     timing: CircuitTiming
     v1: np.ndarray
     v2: np.ndarray
-    val1: Dict[str, int]
-    val2: Dict[str, int]
+    val1: Mapping[str, int]
+    val2: Mapping[str, int]
     stable: Mapping[str, np.ndarray]
     width: int
     sample_index: Optional[int] = None
@@ -140,7 +142,28 @@ class TransitionSimResult:
 
     def transitioned(self, net: str) -> bool:
         """True iff the test launches a transition onto ``net``."""
+        state = self.kernel_state
+        if state is not None:
+            return bool(state.transitions[state.compiled.net_rows[net]])
         return self.val1[net] != self.val2[net]
+
+    def _live_outputs(self) -> np.ndarray:
+        """Positions in ``circuit.outputs`` of the outputs that transition.
+
+        Compiled results read the schedule's transition vector instead of
+        two value lookups per output.
+        """
+        state = self.kernel_state
+        if state is not None:
+            return np.flatnonzero(state.transitions[state.compiled.output_rows])
+        val1, val2 = self.val1, self.val2
+        return np.array(
+            [
+                index for index, net in enumerate(self.timing.circuit.outputs)
+                if val1[net] != val2[net]
+            ],
+            dtype=np.int64,
+        )
 
     def arrival(self, net: str) -> RandomVariable:
         """``Ar(net)`` on the induced circuit (full-width results only)."""
@@ -159,9 +182,8 @@ class TransitionSimResult:
             # transitioning output rows and one vectorized threshold pass.
             # Bit-identical to the per-net loop — the bool sums along
             # axis 1 are exact integers, divided by the same width.
-            val1, val2 = self.val1, self.val2
-            live = [i for i, net in enumerate(outputs) if val1[net] != val2[net]]
-            if live:
+            live = self._live_outputs()
+            if live.size:
                 stacked = take([outputs[i] for i in live])
                 vector[live] = (stacked > clk).mean(axis=1)
             return vector
@@ -179,9 +201,8 @@ class TransitionSimResult:
         """Boolean ``(|O|, width)``: which outputs fail on which sample."""
         outputs = self.timing.circuit.outputs
         failures = np.zeros((len(outputs), self.width), dtype=bool)
-        for index, net in enumerate(outputs):
-            if self.transitioned(net):
-                failures[index] = self.stable[net] > clk
+        for index in self._live_outputs():
+            failures[index] = self.stable[outputs[index]] > clk
         return failures
 
 

@@ -52,6 +52,7 @@ import numpy as np
 
 from ..circuits.library import CONTROLLING_VALUE, GateType
 from ..circuits.netlist import Circuit
+from ..logic.simulator import FrameValues, evaluate_two_frame
 from .. import obs
 from .dynamic import ExtraDelay, TransitionSimResult, edge_offsets
 from .instance import CircuitTiming
@@ -75,6 +76,16 @@ _SCHEDULE_CACHE_DEFAULT = 512
 #: Cap on cached cone restrictions per pattern schedule (LRU).
 CONE_CACHE_ENV = "REPRO_KERNEL_CONE_CACHE"
 _CONE_CACHE_DEFAULT = 1024
+
+
+#: Packed two-frame value (``v1 | v2 << 1``) -> did the net toggle?
+_TOGGLES = (False, True, True, False)
+
+
+def _toggled(values: bytes) -> np.ndarray:
+    """:data:`_TOGGLES` over a whole packed value vector."""
+    codes = np.frombuffer(values, dtype=np.uint8)
+    return (codes & 1) != (codes >> 1)
 
 
 def _cache_cap(env: str, default: int) -> int:
@@ -239,27 +250,29 @@ class _ConeSchedule:
 class PatternSchedule:
     """The per-(v1, v2) reduction schedule over a compiled circuit.
 
-    Holds the settled logic values and, per topological level, up to two
-    :class:`_GroupPlan` batches (controlled-min, transitioning-max) in
-    evaluation order, plus the concatenation of every plan's edges for
+    Holds the settled logic values of both frames packed one byte per net
+    row (:func:`repro.logic.simulator.evaluate_two_frame`; ``val1`` and
+    ``val2`` are read-only name-keyed views of it) and, per topological
+    level, up to two :class:`_GroupPlan` batches (controlled-min,
+    transitioning-max) in evaluation order, plus the concatenation of every plan's edges for
     one-shot delay gathering.  Sample-independent: one schedule serves
     every Monte-Carlo width, every ``extra_delay`` and every cone replay
     of the same pattern.
     """
 
-    __slots__ = ("compiled", "val1", "val2", "transitions",
+    __slots__ = ("compiled", "values", "transitions",
                  "n_net_transitions", "plans", "all_edges", "all_sources",
                  "group_out", "group_plan", "group_start", "group_len",
                  "group_neg", "_edge_pos", "_cone_cache", "_cone_cap")
 
-    def __init__(self, compiled, val1, val2, transitions, plans):
+    def __init__(self, compiled, values, plans):
         self.compiled = compiled
-        self.val1 = val1
-        self.val2 = val2
-        #: bool per net row (= topological order): did the net toggle?
-        #: Consumers (the dictionary builder's activity planner) read this
-        #: instead of re-deriving it from the value dicts.
-        self.transitions = transitions
+        #: ``value1 | value2 << 1`` per net row (= topological order).
+        self.values = values
+        #: bool per net row: did the net toggle?  Consumers (the
+        #: dictionary builder's activity planner, transition and error
+        #: queries on results) read this instead of the value views.
+        transitions = self.transitions = _toggled(values)
         self.n_net_transitions = int(transitions.sum())
         self.plans = plans
         empty = np.empty(0, dtype=np.int64)
@@ -303,6 +316,16 @@ class PatternSchedule:
         self._cone_cap = _cache_cap(CONE_CACHE_ENV, _CONE_CACHE_DEFAULT)
 
     # ------------------------------------------------------------------
+    @property
+    def val1(self) -> FrameValues:
+        """Settled ``v1`` values by net name (a read-only view)."""
+        return FrameValues(self.values, self.compiled.net_rows, 0)
+
+    @property
+    def val2(self) -> FrameValues:
+        """Settled ``v2`` values by net name (a read-only view)."""
+        return FrameValues(self.values, self.compiled.net_rows, 1)
+
     @property
     def edge_pos(self) -> Dict[int, int]:
         """Edge index -> position in ``all_edges`` (built on first use)."""
@@ -416,12 +439,10 @@ class PatternSchedule:
     def __getstate__(self):
         # Cone restrictions and the edge-position index are cheap to
         # rebuild and access-pattern specific; keep worker pickles lean.
-        return (self.compiled, self.val1, self.val2, self.transitions,
-                self.plans)
+        return (self.compiled, self.values, self.plans)
 
     def __setstate__(self, state):
-        compiled, val1, val2, transitions, plans = state
-        self.__init__(compiled, val1, val2, transitions, plans)
+        self.__init__(*state)
 
 
 class CompiledCircuit:
@@ -436,7 +457,7 @@ class CompiledCircuit:
 
     __slots__ = ("circuit", "net_rows", "net_names", "fanin_rows",
                  "fanin_base", "controlling", "is_input", "level",
-                 "_schedule_cache")
+                 "output_rows", "_schedule_cache")
 
     def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
@@ -464,6 +485,10 @@ class CompiledCircuit:
                 self.controlling[row] = controlling
             self.is_input[row] = gate.gate_type is GateType.INPUT
             self.level[row] = levels[name]
+        #: net row of each primary output, in ``circuit.outputs`` order.
+        self.output_rows = np.array(
+            [self.net_rows[net] for net in circuit.outputs], dtype=np.int64
+        )
         self._schedule_cache: "OrderedDict[bytes, PatternSchedule]" = OrderedDict()
 
     @property
@@ -491,20 +516,8 @@ class CompiledCircuit:
         return schedule
 
     def _build_schedule(self, v1: np.ndarray, v2: np.ndarray) -> PatternSchedule:
-        circuit = self.circuit
-        assignment1 = {net: int(v1[i]) for i, net in enumerate(circuit.inputs)}
-        assignment2 = {net: int(v2[i]) for i, net in enumerate(circuit.inputs)}
-        val1 = circuit.evaluate(assignment1)
-        val2 = circuit.evaluate(assignment2)
-        names = self.net_names
-        val1_arr = np.fromiter(
-            (val1[name] for name in names), dtype=np.int8, count=len(names)
-        )
-        val2_arr = np.fromiter(
-            (val2[name] for name in names), dtype=np.int8, count=len(names)
-        )
-        transitions = val1_arr != val2_arr
-        active = np.flatnonzero(transitions & ~self.is_input)
+        values = evaluate_two_frame(self.circuit, v1.tolist(), v2.tolist())
+        active = np.flatnonzero(_toggled(values) & ~self.is_input)
         # Stable sort keeps topological order within each level — not
         # required for correctness (levels are strict) but deterministic.
         active = active[np.argsort(self.level[active], kind="stable")]
@@ -527,13 +540,13 @@ class CompiledCircuit:
                 if controlling >= 0:
                     pins = [
                         pin for pin, src in enumerate(fanin_rows)
-                        if val2_arr[src] == controlling
+                        if values[src] >> 1 == controlling
                     ]
                     is_min = bool(pins)
                 if not is_min:
                     pins = [
                         pin for pin, src in enumerate(fanin_rows)
-                        if val1_arr[src] != val2_arr[src]
+                        if _TOGGLES[values[src]]
                     ]
                     if not pins:
                         # Mirror the reference fallback for degenerate
@@ -561,7 +574,7 @@ class CompiledCircuit:
                 len(min_outs),
             ))
             offset += len(edges)
-        return PatternSchedule(self, val1, val2, transitions, plans)
+        return PatternSchedule(self, values, plans)
 
     # ------------------------------------------------------------------
     def __getstate__(self):
@@ -569,11 +582,13 @@ class CompiledCircuit:
         # worker only needs the schedules its shipped results reference
         # (pickle memoization carries those through TransitionSimResult).
         return (self.circuit, self.net_rows, self.net_names, self.fanin_rows,
-                self.fanin_base, self.controlling, self.is_input, self.level)
+                self.fanin_base, self.controlling, self.is_input, self.level,
+                self.output_rows)
 
     def __setstate__(self, state):
         (self.circuit, self.net_rows, self.net_names, self.fanin_rows,
-         self.fanin_base, self.controlling, self.is_input, self.level) = state
+         self.fanin_base, self.controlling, self.is_input, self.level,
+         self.output_rows) = state
         self._schedule_cache = OrderedDict()
 
 

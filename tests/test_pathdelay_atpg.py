@@ -199,3 +199,59 @@ class TestGeneration:
         )
         v1, v2 = test.as_pair()
         assert v1.shape == (5,) and v2.shape == (5,)
+
+
+class TestPinnedDigest:
+    """``generate_path_tests`` output and its settled values, pinned.
+
+    Strided edge sites plus one net-name site on s1196 and s5378, hashed
+    with the pairs, the sources, each test's achieved class and launch
+    polarity, and both frames of every net under ``simulate_pattern_set``.
+    Any change to path selection, constraint building, justification,
+    fill or logic evaluation moves the digest.
+    """
+
+    PINNED = {
+        "s1196": "a3ed9efc60007c6e06bc44dc80331264483600aab7d485b1796ae1c4fd8154cd",
+        "s5378": "cfe9c0cc24f59eb9b0c1dec7a51e999c46a2203248e4a7d0e1ca9e85b04e3af1",
+    }
+    STRIDES = {"s1196": 97, "s5378": 331}
+
+    @staticmethod
+    def digest(name, stride, n_edge_sites=6):
+        import hashlib
+
+        from repro.atpg import generate_path_tests
+        from repro.circuits import load_benchmark
+        from repro.timing import CircuitTiming, SampleSpace
+        from repro.timing.critical import simulate_pattern_set
+
+        circuit = load_benchmark(name)
+        timing = CircuitTiming(circuit, SampleSpace(n_samples=16, seed=0))
+        edges = circuit.edges
+        sites = [edges[(i * stride) % len(edges)] for i in range(n_edge_sites)]
+        sites.append(edges[len(edges) // 2].sink)
+        order = circuit.topological_order
+        h = hashlib.sha256()
+        for index, site in enumerate(sites):
+            patterns, tests = generate_path_tests(
+                timing, site, n_paths=3, rng_seed=index
+            )
+            h.update(repr(site).encode())
+            h.update(patterns.pairs.tobytes())
+            h.update(repr([
+                None if source is None else source.nets
+                for source in patterns.sources
+            ]).encode())
+            h.update(repr([
+                (test.path.nets, test.achieved.name, test.rising_at_input)
+                for test in tests
+            ]).encode())
+            for sim in simulate_pattern_set(timing, list(patterns)):
+                h.update(bytes(sim.val1[net] for net in order))
+                h.update(bytes(sim.val2[net] for net in order))
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name", ["s1196", "s5378"])
+    def test_digest_is_pinned(self, name):
+        assert self.digest(name, self.STRIDES[name]) == self.PINNED[name]

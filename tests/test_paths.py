@@ -156,6 +156,76 @@ class TestSampler:
             assert suffix[net] >= 0.0
 
 
+class TestConeRestrictedTables:
+    """Cone-restricted DP tables equal the whole-circuit tables.
+
+    A net's prefix entries depend only on its fanin cone and its suffix
+    entries only on its fanout cone, so building over the site's cones
+    must reproduce the whole-circuit entries exactly (same floats, same
+    tie order), for edge and net-name sites alike.
+    """
+
+    K = 4
+
+    @staticmethod
+    def _sites(circuit, stride=1):
+        edges = circuit.edges[::stride]
+        nets = [e.sink for e in edges[:: max(1, len(edges) // 8)]]
+        return list(edges) + nets
+
+    def _check(self, timing, stride=1):
+        from repro.paths.enumerate import (
+            _mean_edge_delays,
+            _site_ends,
+            _top_k_prefixes,
+            _top_k_suffixes,
+        )
+
+        circuit = timing.circuit
+        delays = _mean_edge_delays(timing)
+        order = circuit.topological_order
+        prefixes = _top_k_prefixes(circuit, delays, self.K, order)
+        suffixes = _top_k_suffixes(circuit, delays, self.K, order)
+        prefix, suffix = longest_delay_tables(timing)
+        for site in self._sites(circuit, stride):
+            source, sink = _site_ends(site)
+            fanin, fanout = circuit.fanin_cone(source), circuit.fanout_cone(sink)
+            cone_prefixes = _top_k_prefixes(circuit, delays, self.K, fanin)
+            cone_suffixes = _top_k_suffixes(circuit, delays, self.K, fanout)
+            assert cone_prefixes == {net: prefixes[net] for net in fanin}
+            assert cone_suffixes == {net: suffixes[net] for net in fanout}
+            cone_prefix, cone_suffix = longest_delay_tables(timing, site)
+            assert cone_prefix == {net: prefix[net] for net in fanin}
+            assert cone_suffix == {net: suffix[net] for net in fanout}
+
+    def test_every_edge_of_c17(self, c17_timing):
+        self._check(c17_timing)
+
+    def test_every_edge_of_s27(self, s27):
+        from repro.timing import CircuitTiming, SampleSpace
+
+        self._check(CircuitTiming(s27, SampleSpace(n_samples=30, seed=2)))
+
+    def test_strided_edges_of_s1196(self, bench_timing):
+        self._check(bench_timing, stride=37)
+
+    def test_site_tables_drive_the_same_walks(self, bench_timing):
+        import random
+
+        circuit = bench_timing.circuit
+        whole = longest_delay_tables(bench_timing)
+        for site in self._sites(circuit, stride=97):
+            for bias in (1.0, 0.5):
+                walks = [
+                    sample_path_through(
+                        bench_timing, site, random.Random(7), bias=bias,
+                        tables=tables,
+                    )
+                    for tables in (whole, None)
+                ]
+                assert walks[0] == walks[1]
+
+
 class TestStatisticalRanking:
     def test_rank_by_mean_matches_nominal(self, c17_timing):
         paths = k_longest_paths(c17_timing, 4)
