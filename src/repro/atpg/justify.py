@@ -8,15 +8,20 @@ constraints, by PODEM-style decision making:
 
 * decisions are made only on (primary input, frame) pairs,
 * implications are computed by three-valued simulation restricted to the
-  transitive fanin cone of the constrained nets — the cone is *compiled*
-  once per ``justify`` call into flat integer tables so the inner loop is
-  allocation-free,
+  transitive fanin cone of the constrained nets.  The circuit is lowered
+  *once* (memoized on the frozen circuit) into flat opcode, fanin and
+  fanout tables over topological rows plus its all-X settled values; a
+  ``justify`` call only marks its cone in a ``bytearray`` and copies the
+  start values,
 * an objective (an unsatisfied constraint) is backtraced through X-valued
   gate inputs to find the next decision, preferring controlling-value
   shortcuts,
 * conflicts flip the most recent untried decision; a backtrack limit bounds
   the search (untestable-path detection is then conservative, as in any
-  practical ATPG).
+  practical ATPG).  Every value change is logged on a trail, so a
+  backtrack restores the values from before the flipped decision and
+  propagates only the flipped pin — values are a function of the pins, so
+  the state is exact without re-simulation.
 
 The engine knows nothing about delay testing itself — constraint semantics
 live in :mod:`repro.atpg.pathdelay`.
@@ -36,8 +41,9 @@ __all__ = ["Justifier", "JustifyResult", "Key"]
 #: A constraint key: (net name, frame index 0|1).
 Key = Tuple[str, int]
 
-# Compiled gate opcodes (inlined in the hot loop).
-_OP_INPUT, _OP_BUF, _OP_NOT, _OP_AND, _OP_NAND, _OP_OR, _OP_NOR, _OP_XOR, _OP_XNOR = range(9)
+# Gate opcodes; a DFF is not evaluable, so a cone that reaches one raises.
+(_OP_INPUT, _OP_BUF, _OP_NOT, _OP_AND, _OP_NAND, _OP_OR, _OP_NOR, _OP_XOR,
+ _OP_XNOR, _OP_DFF) = range(10)
 
 _OPCODE = {
     GateType.INPUT: _OP_INPUT,
@@ -50,16 +56,15 @@ _OPCODE = {
     GateType.NOR: _OP_NOR,
     GateType.XOR: _OP_XOR,
     GateType.XNOR: _OP_XNOR,
+    GateType.DFF: _OP_DFF,
 }
 
 #: Controlling input value per opcode (None where not applicable).
-_OP_CONTROLLING = {
-    _OP_AND: 0,
-    _OP_NAND: 0,
-    _OP_OR: 1,
-    _OP_NOR: 1,
-}
-_OP_INVERTING = {_OP_NOT, _OP_NAND, _OP_NOR, _OP_XNOR}
+_CONTROLLING = (None, None, None, 0, 0, 1, 1, None, None, None)
+_INVERTING = frozenset({_OP_NOT, _OP_NAND, _OP_NOR, _OP_XNOR})
+
+#: ``(opcodes, fanins, fanouts, all-X settled values)`` over topological rows.
+_Table = Tuple[bytes, Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...], bytes]
 
 
 @dataclass
@@ -116,47 +121,102 @@ class JustifyResult:
         return v1, v2
 
 
-class _Compiled:
-    """Flat-array view of the fanin cone relevant to one constraint set."""
+def _circuit_table(circuit: Circuit) -> _Table:
+    """The circuit's justification tables (memoized on the frozen circuit).
 
-    __slots__ = (
-        "names",
-        "index",
-        "opcodes",
-        "fanins",
-        "fanouts",
-        "n",
-        "constraints",
-    )
+    Fanout rows are ascending, so a filtered fanout list is already a
+    min-heap.  The start values settle every pin at X; they differ from
+    all-X only below fanin-less (constant) gates.
+    """
+    table = getattr(circuit, "_justify_table", None)
+    if table is not None:
+        return table
+    rows = circuit.topological_index
+    order = circuit.topological_order
+    opcodes = bytearray(len(order))
+    fanins: List[Tuple[int, ...]] = []
+    fanouts: List[List[int]] = [[] for _ in order]
+    for row, name in enumerate(order):
+        gate = circuit.gates[name]
+        opcodes[row] = op = _OPCODE[gate.gate_type]
+        # a DFF's fanin is a next-state reference, not a dependency
+        rows_in = () if op == _OP_DFF else tuple(rows[f] for f in gate.fanins)
+        fanins.append(rows_in)
+        for fanin in rows_in:  # a net feeding two pins is one fanout
+            if not fanouts[fanin] or fanouts[fanin][-1] != row:
+                fanouts[fanin].append(row)
+    program = (bytes(opcodes), tuple(fanins), tuple(map(tuple, fanouts)))
+    start = bytearray([X]) * len(order)
+    constants = [
+        row for row, rows_in in enumerate(fanins)
+        if not rows_in and opcodes[row] not in (_OP_INPUT, _OP_DFF)
+    ]
+    _settle(start, constants, bytearray(b"\x01") * len(order), program, [])
+    table = program + (bytes(start),)
+    circuit._justify_table = table  # type: ignore[attr-defined]
+    return table
 
-    def __init__(self, circuit: Circuit, constraints: Dict[Key, int]) -> None:
-        # multi-source backward DFS: union of the constrained nets' fanin cones
-        relevant = {net for net, _frame in constraints}
-        stack = list(relevant)
-        while stack:
-            current = stack.pop()
-            for fanin in circuit.gates[current].fanins:
-                if fanin not in relevant:
-                    relevant.add(fanin)
-                    stack.append(fanin)
-        self.names = [n for n in circuit.topological_order if n in relevant]
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self.n = len(self.names)
-        self.opcodes: List[int] = []
-        self.fanins: List[List[int]] = []
-        self.fanouts: List[List[int]] = [[] for _ in range(self.n)]
-        for i, name in enumerate(self.names):
-            gate = circuit.gates[name]
-            self.opcodes.append(_OPCODE[gate.gate_type])
-            fanin_ids = [self.index[f] for f in gate.fanins]
-            self.fanins.append(fanin_ids)
-            for f in fanin_ids:
-                self.fanouts[f].append(i)
-        # constraints as (node index, frame, value)
-        self.constraints = [
-            (self.index[net], frame, value)
-            for (net, frame), value in constraints.items()
-        ]
+
+def _settle(
+    values: bytearray,
+    queue: List[int],
+    in_cone: bytearray,
+    table: tuple,
+    trail: List[Tuple[bytearray, int]],
+) -> None:
+    """Evaluate the rows of ``queue`` and, transitively, the fanouts they set.
+
+    ``queue`` is a min-heap of X-valued rows; rows are topological, so it
+    pops them in dependency order.  Three-valued simulation is monotone in
+    the pins, and a settle only follows a pin going from X to 0/1, so every
+    change is X -> 0/1: a row that already holds 0/1 cannot change and is
+    never enqueued, nor is a row outside ``in_cone``.  Each change is
+    logged on ``trail`` as ``(values, row)``; undo writes X back.
+    """
+    opcodes, fanins, fanouts = table[:3]
+    pop, push, log = heapq.heappop, heapq.heappush, trail.append
+    queued = set(queue)
+    enqueue = queued.add
+    while queue:
+        row = pop(queue)
+        op = opcodes[row]
+        rows_in = fanins[row]
+        # three-valued evaluation of one gate (inputs never get here)
+        if op == _OP_BUF:
+            new = values[rows_in[0]]
+        elif op == _OP_NOT:
+            new = values[rows_in[0]]
+            if new != X:
+                new = 1 - new
+        elif op <= _OP_NOR:  # AND, NAND, OR, NOR
+            controlling = _CONTROLLING[op]
+            new = 1 - controlling
+            for fanin in rows_in:
+                value = values[fanin]
+                if value == controlling:
+                    new = controlling
+                    break
+                if value == X:
+                    new = X
+            if new != X and op in _INVERTING:
+                new = 1 - new
+        else:  # XOR, XNOR
+            new = 1 if op == _OP_XNOR else 0
+            for fanin in rows_in:
+                value = values[fanin]
+                if value == X:
+                    new = X
+                    break
+                new ^= value
+        if new == X:
+            continue
+        log((values, row))
+        values[row] = new
+        for successor in fanouts[row]:
+            if (in_cone[successor] and values[successor] == X
+                    and successor not in queued):
+                enqueue(successor)
+                push(queue, successor)
 
 
 class Justifier:
@@ -196,172 +256,96 @@ class Justifier:
             if frame not in (0, 1) or value not in (0, 1):
                 raise ValueError(f"bad constraint {(net, frame)} = {value}")
 
-        comp = _Compiled(self.circuit, constraints)
-        # pin assignment per frame: value arrays indexed by compiled node id
-        pin: List[List[int]] = [[X] * comp.n, [X] * comp.n]
-        # simulated values per frame, maintained incrementally: a decision
-        # touches one (input, frame) pin, so only that pin's fanout cone in
-        # that frame needs re-evaluation.
-        values: List[List[int]] = [[X] * comp.n, [X] * comp.n]
-        self._propagate_all(comp, pin, values)
-        decisions: List[Tuple[int, int, int, bool]] = []  # (node, frame, val, flipped)
+        table = _circuit_table(self.circuit)
+        opcodes, fanins, fanouts, start = table
+        rows = self.circuit.topological_index
+        targets = [
+            (rows[net], frame, value) for (net, frame), value in constraints.items()
+        ]
+        # mark the union of the constrained nets' fanin cones
+        in_cone = bytearray(len(opcodes))
+        stack = []
+        for row, _frame, _value in targets:
+            if not in_cone[row]:
+                in_cone[row] = 1
+                stack.append(row)
+        while stack:
+            row = stack.pop()
+            if opcodes[row] == _OP_DFF:
+                raise KeyError(GateType.DFF)
+            for fanin in fanins[row]:
+                if not in_cone[fanin]:
+                    in_cone[fanin] = 1
+                    stack.append(fanin)
+
+        values = (bytearray(start), bytearray(start))
+        trail: List[Tuple[bytearray, int]] = []
+        # (input row, frame, value, flipped, trail length before the pin)
+        decisions: List[Tuple[int, int, int, bool, int]] = []
         backtracks = 0
 
         while True:
-            status = self._check(comp, values)
-            if status == 1:  # satisfied
+            objective = None
+            conflict = False
+            for row, frame, required in targets:
+                actual = values[frame][row]
+                if actual == X:
+                    if objective is None:
+                        objective = (row, frame, required)
+                elif actual != required:
+                    conflict = True
+                    break
+            if not conflict and objective is None:  # satisfied
+                names = self.circuit.topological_order
                 assignment = {
-                    (comp.names[node], frame): pin[frame][node]
-                    for node in range(comp.n)
-                    if comp.opcodes[node] == _OP_INPUT
-                    for frame in (0, 1)
-                    if pin[frame][node] != X
+                    (names[row], frame): value
+                    for row, frame, value, _flipped, _mark in sorted(decisions)
                 }
                 return JustifyResult(True, assignment, backtracks)
-            if status == -1:  # conflict
-                changed = self._backtrack(decisions, pin)
-                if changed is None:
-                    return JustifyResult(False, {}, backtracks)
-                for node, frame in changed:
-                    self._propagate(comp, pin, values, frame, node)
-                backtracks += 1
-                if backtracks > limit:
-                    return JustifyResult(False, {}, backtracks)
-                continue
-            objective = self._pick_objective(comp, values)
-            decision = self._backtrace(comp, values, objective, self.guidance)
+            decision = None
+            if not conflict:
+                decision = self._backtrace(table, values, objective)
             if decision is None:
-                changed = self._backtrack(decisions, pin)
-                if changed is None:
+                # flip the most recent untried decision, popping exhausted ones
+                while decisions and decisions[-1][3]:
+                    decisions.pop()
+                if not decisions:
                     return JustifyResult(False, {}, backtracks)
-                for node, frame in changed:
-                    self._propagate(comp, pin, values, frame, node)
                 backtracks += 1
                 if backtracks > limit:
                     return JustifyResult(False, {}, backtracks)
-                continue
-            node, frame, value = decision
-            pin[frame][node] = value
-            decisions.append((node, frame, value, False))
-            self._propagate(comp, pin, values, frame, node)
+                row, frame, value, _flipped, mark = decisions.pop()
+                # restore the values from before that decision's pin
+                for frame_values, changed in trail[mark:]:
+                    frame_values[changed] = X
+                del trail[mark:]
+                value, flipped = 1 - value, True
+            else:
+                row, frame, value = decision
+                flipped, mark = False, len(trail)
+            decisions.append((row, frame, value, flipped, mark))
+            frame_values = values[frame]
+            trail.append((frame_values, row))
+            frame_values[row] = value
+            queue = [
+                successor for successor in fanouts[row]
+                if in_cone[successor] and frame_values[successor] == X
+            ]
+            _settle(frame_values, queue, in_cone, table, trail)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _eval_node(
-        comp: _Compiled, values: List[int], pins: List[int], i: int
-    ) -> int:
-        """Three-valued evaluation of one compiled node."""
-        op = comp.opcodes[i]
-        if op == _OP_INPUT:
-            return pins[i]
-        fanins = comp.fanins[i]
-        if op == _OP_BUF:
-            return values[fanins[0]]
-        if op == _OP_NOT:
-            v = values[fanins[0]]
-            return v if v == X else 1 - v
-        if op == _OP_AND or op == _OP_NAND:
-            out = 1
-            for f in fanins:
-                v = values[f]
-                if v == 0:
-                    out = 0
-                    break
-                if v == X:
-                    out = X
-            if op == _OP_NAND and out != X:
-                out = 1 - out
-            return out
-        if op == _OP_OR or op == _OP_NOR:
-            out = 0
-            for f in fanins:
-                v = values[f]
-                if v == 1:
-                    out = 1
-                    break
-                if v == X:
-                    out = X
-            if op == _OP_NOR and out != X:
-                out = 1 - out
-            return out
-        out = 1 if op == _OP_XNOR else 0  # XOR / XNOR
-        for f in fanins:
-            v = values[f]
-            if v == X:
-                return X
-            out ^= v
-        return out
-
-    @classmethod
-    def _propagate_all(
-        cls, comp: _Compiled, pin: List[List[int]], values: List[List[int]]
-    ) -> None:
-        """Full three-valued simulation of both frames (initialization)."""
-        for frame in (0, 1):
-            frame_values, pins = values[frame], pin[frame]
-            for i in range(comp.n):
-                frame_values[i] = cls._eval_node(comp, frame_values, pins, i)
-
-    @classmethod
-    def _propagate(
-        cls,
-        comp: _Compiled,
-        pin: List[List[int]],
-        values: List[List[int]],
-        frame: int,
-        node: int,
-    ) -> None:
-        """Re-evaluate downstream of ``node`` in one frame, worklist-style.
-
-        Compiled node ids increase along the topological order, so a min-heap
-        worklist pops nodes in dependency order; fanouts are enqueued only
-        when a value actually changes, which keeps re-evaluation local.
-        """
-        frame_values, pins = values[frame], pin[frame]
-        heap = [node]
-        queued = {node}
-        while heap:
-            i = heapq.heappop(heap)
-            new_value = cls._eval_node(comp, frame_values, pins, i)
-            if i != node and new_value == frame_values[i]:
-                continue
-            frame_values[i] = new_value
-            for successor in comp.fanouts[i]:
-                if successor not in queued:
-                    queued.add(successor)
-                    heapq.heappush(heap, successor)
-
-    @staticmethod
-    def _check(comp: _Compiled, values: List[List[int]]) -> int:
-        """1 = satisfied, -1 = conflict, 0 = pending."""
-        pending = False
-        for node, frame, required in comp.constraints:
-            actual = values[frame][node]
-            if actual == X:
-                pending = True
-            elif actual != required:
-                return -1
-        return 0 if pending else 1
-
-    @staticmethod
-    def _pick_objective(
-        comp: _Compiled, values: List[List[int]]
-    ) -> Tuple[int, int, int]:
-        for node, frame, required in comp.constraints:
-            if values[frame][node] == X:
-                return node, frame, required
-        raise AssertionError("objective requested with no pending constraint")
-
-    @staticmethod
     def _backtrace(
-        comp: _Compiled,
-        values: List[List[int]],
+        self,
+        table: _Table,
+        values: Tuple[bytearray, bytearray],
         objective: Tuple[int, int, int],
-        guidance=None,
     ) -> Optional[Tuple[int, int, int]]:
         """Walk from the objective to an unassigned input, PODEM-style."""
-        node, frame, value = objective
+        opcodes, fanins, _fanouts, _start = table
+        row, frame, value = objective
         frame_values = values[frame]
+        guidance = self.guidance
+        names = self.circuit.topological_order
 
         def pick(x_inputs: List[int], needed: int) -> int:
             """Choose among X-valued fanins (SCOAP-guided when available)."""
@@ -369,61 +353,36 @@ class Justifier:
                 return x_inputs[0]
             return min(
                 x_inputs,
-                key=lambda f: guidance.controllability(comp.names[f], needed),
+                key=lambda f: guidance.controllability(names[f], needed),
             )
 
-        guard = 0
         while True:
-            guard += 1
-            if guard > comp.n + 1:
-                return None
-            op = comp.opcodes[node]
+            op = opcodes[row]
             if op == _OP_INPUT:
-                return (node, frame, value) if frame_values[node] == X else None
-            fanins = comp.fanins[node]
+                return (row, frame, value) if frame_values[row] == X else None
+            rows_in = fanins[row]
             if op == _OP_BUF:
-                node = fanins[0]
+                row = rows_in[0]
                 continue
             if op == _OP_NOT:
-                node, value = fanins[0], 1 - value
+                row, value = rows_in[0], 1 - value
                 continue
-            x_inputs = [f for f in fanins if frame_values[f] == X]
+            x_inputs = [f for f in rows_in if frame_values[f] == X]
             if not x_inputs:
                 return None
-            controlling = _OP_CONTROLLING.get(op)
-            if controlling is not None:
-                inverted = op in _OP_INVERTING
+            if op <= _OP_NOR:  # AND, NAND, OR, NOR
+                controlling = _CONTROLLING[op]
+                inverted = op in _INVERTING
                 controlled_output = (1 - controlling) if inverted else controlling
                 needed = controlling if value == controlled_output else 1 - controlling
-                node, value = pick(x_inputs, needed), needed
+                row, value = pick(x_inputs, needed), needed
                 continue
             # XOR family: choose an X input; required value assumes the other
             # X inputs resolve to 0 (heuristic; conflicts self-correct).
             chosen = x_inputs[0]
             parity = 1 if op == _OP_XNOR else 0
-            for f in fanins:
+            for f in rows_in:
                 v = frame_values[f]
                 if v in (0, 1) and f != chosen:
                     parity ^= v
-            node, value = chosen, value ^ parity
-            continue
-
-    @staticmethod
-    def _backtrack(
-        decisions: List[Tuple[int, int, int, bool]], pin: List[List[int]]
-    ) -> Optional[List[Tuple[int, int]]]:
-        """Flip the most recent untried decision; pop exhausted ones.
-
-        Returns the (node, frame) pins whose values changed so the caller
-        can re-propagate, or ``None`` when the search space is exhausted.
-        """
-        changed: List[Tuple[int, int]] = []
-        while decisions:
-            node, frame, value, flipped = decisions.pop()
-            pin[frame][node] = X
-            changed.append((node, frame))
-            if not flipped:
-                pin[frame][node] = 1 - value
-                decisions.append((node, frame, 1 - value, True))
-                return changed
-        return None  # exhausted: caller stops, stale values are irrelevant
+            row, value = chosen, value ^ parity

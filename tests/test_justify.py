@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.atpg import Justifier
-from repro.circuits import Circuit, GateType
+from repro.atpg.justify import _circuit_table
+from repro.circuits import Circuit, GateType, load_benchmark
+from repro.circuits.library import CONTROLLING_VALUE, INVERTING, X, eval_gate_ternary
+from repro.logic.testability import compute_scoap
 
 
 def check_assignment(circuit, constraints, assignment):
@@ -143,3 +146,226 @@ def test_justified_constraints_hold_under_any_fill(seed):
     result = Justifier(c17).justify(constraints)
     if result.success:
         check_assignment(c17, constraints, result.assignment)
+
+
+class TestJustifyDigest:
+    """Every ``justify`` outcome over path-delay constraint sets, pinned.
+
+    Strided edge sites on s1196 and s1488; every variant
+    ``build_path_constraints`` yields for the sites' ``k_longest_paths_through``
+    paths, both launch polarities, both criteria, backtrack limits 30 and
+    80.  Hashes ``(success, sorted assignment, backtracks)`` of each call,
+    so failing and limit-hit searches (most of them) count as much as
+    successes.  Any change to a search decision moves the digest.
+    """
+
+    PINNED = {
+        "s1196": "b7a8084f7fd615c477e7d0e865c811a6966c7c1d324d280fa3348ba40a2b399c",
+        "s1488": "36d3e7b221e1519d81f31bc0d658fbf78dc7e66b43c6d7975e35873098fb44be",
+    }
+    STRIDES = {"s1196": 97, "s1488": 89}
+
+    @staticmethod
+    def digest(name, stride, n_sites=4, k=3):
+        import hashlib
+
+        from repro.atpg.pathdelay import build_path_constraints
+        from repro.circuits import load_benchmark
+        from repro.paths import k_longest_paths_through
+        from repro.paths.sensitization import Sensitization
+        from repro.timing import CircuitTiming, SampleSpace
+
+        circuit = load_benchmark(name)
+        timing = CircuitTiming(circuit, SampleSpace(n_samples=16, seed=0))
+        edges = circuit.edges
+        justifier = Justifier(circuit)
+        h = hashlib.sha256()
+        for i in range(n_sites):
+            site = edges[(i * stride) % len(edges)]
+            for path in k_longest_paths_through(timing, site, k=k):
+                for criterion in (Sensitization.ROBUST, Sensitization.NON_ROBUST):
+                    for rising in (True, False):
+                        for constraints in build_path_constraints(
+                            circuit, path, rising, criterion
+                        ):
+                            for limit in (30, 80):
+                                result = justifier.justify(
+                                    constraints, backtrack_limit=limit
+                                )
+                                h.update(repr((
+                                    result.success,
+                                    sorted(result.assignment.items()),
+                                    result.backtracks,
+                                )).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name", ["s1196", "s1488"])
+    def test_digest_is_pinned(self, name):
+        assert self.digest(name, self.STRIDES[name]) == self.PINNED[name]
+
+
+def reference_justify(circuit, constraints, limit, guidance=None):
+    """From-definition PODEM: ``(success, assignment, backtracks)``.
+
+    The engine's decision order (first pending constraint, backtrace
+    through the first X fanin or the SCOAP-cheapest one, flip the most
+    recent untried decision) with no incremental state: both frames of
+    the constraint cone are re-simulated from the pins after every pin
+    change.
+    """
+    cone = set()
+    for net, _frame in constraints:
+        cone.update(circuit.fanin_cone(net))
+    order = [net for net in circuit.topological_order if net in cone]
+    pins = ({}, {})
+
+    def simulate(frame):
+        values = {}
+        for net in order:
+            gate = circuit.gates[net]
+            if gate.gate_type is GateType.INPUT:
+                values[net] = pins[frame].get(net, X)
+            else:
+                values[net] = eval_gate_ternary(
+                    gate.gate_type, [values[f] for f in gate.fanins]
+                )
+        return values
+
+    def backtrace(values, net, value):
+        while True:
+            gate = circuit.gates[net]
+            kind = gate.gate_type
+            if kind is GateType.INPUT:
+                return (net, value) if values[net] == X else None
+            if kind in (GateType.BUF, GateType.OUTPUT, GateType.NOT):
+                net = gate.fanins[0]
+                value = 1 - value if kind is GateType.NOT else value
+                continue
+            x_inputs = [f for f in gate.fanins if values[f] == X]
+            if not x_inputs:
+                return None
+            controlling = CONTROLLING_VALUE[kind]
+            if controlling is not None:
+                controlled = 1 - controlling if kind in INVERTING else controlling
+                value = controlling if value == controlled else 1 - controlling
+                net = x_inputs[0] if guidance is None else min(
+                    x_inputs, key=lambda f: guidance.controllability(f, value)
+                )
+                continue
+            parity = 1 if kind is GateType.XNOR else 0
+            for f in gate.fanins:
+                if values[f] != X and f != x_inputs[0]:
+                    parity ^= values[f]
+            net, value = x_inputs[0], value ^ parity
+
+    decisions = []  # [net, frame, value, flipped]
+    backtracks = 0
+    while True:
+        values = (simulate(0), simulate(1))
+        objective, conflict = None, False
+        for (net, frame), required in constraints.items():
+            if values[frame][net] == X:
+                if objective is None:
+                    objective = (net, frame, required)
+            elif values[frame][net] != required:
+                conflict = True
+                break
+        if not conflict and objective is None:
+            return True, {(n, f): v for n, f, v, _ in decisions}, backtracks
+        decision = None
+        if not conflict:
+            net, frame, required = objective
+            decision = backtrace(values[frame], net, required)
+        if decision is None:
+            while decisions and decisions[-1][3]:
+                net, frame, _value, _flipped = decisions.pop()
+                del pins[frame][net]
+            if not decisions:
+                return False, {}, backtracks
+            net, frame, value, _flipped = decisions.pop()
+            decisions.append((net, frame, 1 - value, True))
+            pins[frame][net] = 1 - value
+            backtracks += 1
+            if backtracks > limit:
+                return False, {}, backtracks
+        else:
+            net, value = decision
+            decisions.append((net, objective[1], value, False))
+            pins[objective[1]][net] = value
+
+
+_ORACLE_CIRCUITS = ("c17", "s27", "s1196")
+
+
+@st.composite
+def constraint_sets(draw):
+    name = draw(st.sampled_from(_ORACLE_CIRCUITS))
+    nets = sorted(load_benchmark(name).gates)
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(nets), st.integers(0, 1)),
+        min_size=1, max_size=5, unique=True,
+    ))
+    values = draw(st.lists(
+        st.integers(0, 1), min_size=len(keys), max_size=len(keys)
+    ))
+    return name, dict(zip(keys, values))
+
+
+class TestReferenceOracle:
+    """The incremental engine agrees with :func:`reference_justify`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(constraint_sets(), st.integers(0, 40), st.booleans())
+    def test_agrees_with_full_resimulation(self, case, limit, guided):
+        name, constraints = case
+        circuit = load_benchmark(name)
+        guidance = compute_scoap(circuit) if guided else None
+        result = Justifier(circuit, guidance=guidance).justify(
+            constraints, backtrack_limit=limit
+        )
+        expected = reference_justify(circuit, constraints, limit, guidance)
+        assert (result.success, result.assignment, result.backtracks) == expected
+
+    def test_constant_gate_settles_in_start_state(self):
+        # ``one`` has no fanins: it is 1 before any pin is decided
+        c = Circuit("const")
+        c.add_input("a")
+        c.add_gate("one", GateType.AND, [])
+        c.add_gate("g", GateType.NAND, ["a", "one"])
+        c.mark_output("g")
+        c.freeze()
+        for constraints in ({("g", 0): 0}, {("g", 1): 1, ("one", 1): 0}):
+            result = Justifier(c).justify(constraints)
+            expected = reference_justify(c, constraints, 150)
+            assert (result.success, result.assignment, result.backtracks) == expected
+        assert Justifier(c).justify({("g", 0): 0}).assignment == {("a", 0): 1}
+
+
+class TestCircuitTable:
+    def test_one_table_per_circuit_shared_across_justifiers(self, c17):
+        Justifier(c17).justify({("22", 1): 0})
+        table = _circuit_table(c17)
+        Justifier(c17, backtrack_limit=3).justify({("23", 0): 1, ("22", 1): 1})
+        assert _circuit_table(c17) is table
+        assert c17._justify_table is table
+
+    @staticmethod
+    def sequential():
+        c = Circuit("seq")
+        c.add_input("a")
+        c.add_input("b")
+        c.add_gate("g", GateType.AND, ["a", "b"])
+        c.add_gate("q", GateType.DFF, ["g"])
+        c.add_gate("h", GateType.OR, ["q", "a"])
+        c.mark_output("g")
+        c.mark_output("h")
+        return c.freeze()
+
+    def test_dff_outside_every_cone_compiles(self):
+        result = Justifier(self.sequential()).justify({("g", 1): 1})
+        assert result.success
+        assert result.assignment == {("a", 1): 1, ("b", 1): 1}
+
+    def test_dff_inside_a_cone_raises(self):
+        with pytest.raises(KeyError):
+            Justifier(self.sequential()).justify({("h", 0): 1})
