@@ -123,9 +123,12 @@ class TransitionSimResult:
     packed values (:class:`repro.logic.simulator.FrameValues`).
 
     ``stable`` is a mapping from net name to settle-time vector; the
-    reference kernel materializes a plain dict of per-net arrays while the
-    compiled kernel backs the same mapping with one ``(n_nets, width)``
-    matrix (:class:`repro.timing.kernel.StableTimes`).  ``kernel_state``
+    reference kernel materializes a plain dict of per-net arrays (one
+    shared zero vector for every net that does not transition) while the
+    compiled kernel backs the same mapping with one read-only
+    ``(n_transitioning + 1, width)`` matrix: a row per transitioning
+    non-input gate plus one zero row every other net shares
+    (:class:`repro.timing.kernel.StableTimes`).  ``kernel_state``
     carries the compiled kernel's pattern schedule so cone-restricted
     re-simulation can replay it; it is ``None`` for reference results.
     """

@@ -10,21 +10,27 @@ into three stages with very different change rates:
    lower the :class:`~repro.circuits.netlist.Circuit` into flat integer
    arrays — per-gate fanin blocks resolved to edge indices and source net
    rows, controlling values, topological levels.  Net names disappear; a
-   net is a row index into one ``(n_nets, width)`` settle-time matrix.
+   net is a row index in topological order.
 2. **Pattern scheduling** (once per two-vector test, cached per circuit):
    evaluate the logic, classify every transitioning gate as controlled-min
    or transitioning-max exactly like ``_gate_settle_time``, and emit per
    topological level two edge groups (one per reduction kind) laid out for
-   ``np.minimum.reduceat`` / ``np.maximum.reduceat``.
+   ``np.minimum.reduceat`` / ``np.maximum.reduceat``.  The schedule also
+   maps every net row to a row of a *compact* settle-time matrix: one
+   row per transitioning non-input gate, in replay order, plus one shared
+   zero row for every net that is stable from t=0 (primary inputs and
+   quiet nets), so a simulation stores ``(n_transitioning + 1, width)``
+   floats, not ``(n_nets, width)``.
 3. **Evaluation** (per call): gather ``delay[edge]`` for the whole
    schedule in one fancy index, then level by level gather
    ``stable[source]`` rows for all Monte-Carlo samples at once and
-   segment-reduce ``stable[source] + delay`` into the settle-time matrix.
+   segment-reduce ``stable[source] + delay`` straight into the level's
+   contiguous slice of the compact matrix, which is read-only afterwards.
    Nothing in this stage is per-gate Python.
 
 Cone-restricted replay (:func:`resimulate_with_extra_compiled`) filters a
 pattern schedule down to the suspect's fanout cone and evaluates it into a
-small ``(n_recomputed, width)`` overlay on top of the base matrix — the
+small ``(n_recomputed, width)`` overlay on top of the base result — the
 fault-dictionary builder's innermost loop re-simulates one suspect against
 one pattern, so the replayed slice is tiny compared to the circuit.  Cone
 restrictions are cached per schedule, keyed by the identity of the
@@ -46,7 +52,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from collections.abc import Mapping
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +71,7 @@ __all__ = [
     "compile_circuit",
     "simulate_transition_compiled",
     "resimulate_with_extra_compiled",
+    "replay_cone_sizes_compiled",
     "SCHEDULE_CACHE_ENV",
     "CONE_CACHE_ENV",
 ]
@@ -99,31 +106,47 @@ def _cache_cap(env: str, default: int) -> int:
 
 
 class StableTimes(Mapping):
-    """Mapping view of the ``(n_nets, width)`` settle-time matrix.
+    """Mapping view of a compact, read-only settle-time matrix.
 
-    Preserves the ``result.stable[net]`` API of the reference kernel:
-    indexing returns the net's row (a view — treat it as read-only).
+    ``matrix`` has one row per transitioning gate of the pattern schedule
+    (replay order) plus a last, all-zero row that every other net shares;
+    ``compact_rows`` maps a net row to its matrix row.  Preserves the
+    ``result.stable[net]`` API of the reference kernel over every net:
+    indexing returns the net's row, a read-only view.
     """
 
-    __slots__ = ("matrix", "net_rows")
+    __slots__ = ("matrix", "net_rows", "compact_rows")
 
-    def __init__(self, matrix: np.ndarray, net_rows: Dict[str, int]) -> None:
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        net_rows: Dict[str, int],
+        compact_rows: np.ndarray,
+    ) -> None:
+        # The zero row is shared by every quiet net: one write through
+        # ``stable[net]`` would corrupt all of them.
+        matrix.flags.writeable = False
         self.matrix = matrix
         self.net_rows = net_rows
+        self.compact_rows = compact_rows
 
     def __getitem__(self, net: str) -> np.ndarray:
-        return self.matrix[self.net_rows[net]]
+        return self.matrix[self.compact_rows[self.net_rows[net]]]
 
     def take_rows(self, nets: Iterable[str]) -> np.ndarray:
         """Rows for ``nets`` stacked into one ``(len(nets), width)`` array."""
         rows = self.net_rows
-        return self.matrix[[rows[net] for net in nets]]
+        return self.matrix[self.compact_rows[[rows[net] for net in nets]]]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.net_rows)
 
     def __len__(self) -> int:
         return len(self.net_rows)
+
+    def __reduce__(self):
+        # Rebuild through ``__init__`` so an unpickled matrix is read-only.
+        return (StableTimes, (self.matrix, self.net_rows, self.compact_rows))
 
 
 class ConeStableTimes(Mapping):
@@ -172,10 +195,12 @@ class _GroupPlan:
 
     ``edges[starts[g] : starts[g+1]]`` (sentinel: end of array) are gate
     ``out_rows[g]``'s candidate edges in pin order; ``sources`` holds the
-    matching driver net rows.  Every group has >= 1 edge, so ``starts`` is
-    strictly increasing — exactly what ``ufunc.reduceat`` needs.
-    ``lo:hi`` is this plan's slice of the schedule-wide concatenated edge
-    array (one delay gather per call instead of one per plan).
+    matching drivers' compact-matrix rows (see :class:`PatternSchedule`).
+    Every group has >= 1 edge, so ``starts`` is strictly increasing —
+    exactly what ``ufunc.reduceat`` needs.  ``lo:hi`` is this plan's slice
+    of the schedule-wide concatenated edge array (one delay gather per call
+    instead of one per plan), ``row_lo:row_hi`` the compact-matrix rows
+    its groups write, in group order.
 
     Controlled-min and transitioning-max gates share one
     ``np.maximum.reduceat`` call: the first ``neg_groups`` groups (their
@@ -188,22 +213,24 @@ class _GroupPlan:
     """
 
     __slots__ = ("edges", "starts", "sources", "out_rows", "lo", "hi",
-                 "neg_rows", "neg_groups")
+                 "row_lo", "row_hi", "neg_rows", "neg_groups")
 
-    def __init__(self, edges, starts, sources, out_rows, lo, neg_rows,
-                 neg_groups):
+    def __init__(self, edges, starts, sources, out_rows, lo, row_lo,
+                 neg_rows, neg_groups):
         self.edges = edges
         self.starts = starts
         self.sources = sources
         self.out_rows = out_rows
         self.lo = lo
         self.hi = lo + len(edges)
+        self.row_lo = row_lo
+        self.row_hi = row_lo + len(out_rows)
         self.neg_rows = neg_rows
         self.neg_groups = neg_groups
 
     def __getstate__(self):
         return (self.edges, self.starts, self.sources, self.out_rows,
-                self.lo, self.neg_rows, self.neg_groups)
+                self.lo, self.row_lo, self.neg_rows, self.neg_groups)
 
     def __setstate__(self, state):
         self.__init__(*state)
@@ -254,18 +281,25 @@ class PatternSchedule:
     row (:func:`repro.logic.simulator.evaluate_two_frame`; ``val1`` and
     ``val2`` are read-only name-keyed views of it) and, per topological
     level, up to two :class:`_GroupPlan` batches (controlled-min,
-    transitioning-max) in evaluation order, plus the concatenation of every plan's edges for
-    one-shot delay gathering.  Sample-independent: one schedule serves
-    every Monte-Carlo width, every ``extra_delay`` and every cone replay
-    of the same pattern.
+    transitioning-max) in evaluation order, plus the concatenation of
+    every plan's edges for one-shot delay gathering.  Sample-independent:
+    one schedule serves every Monte-Carlo width, every ``extra_delay`` and
+    every cone replay of the same pattern.
+
+    Settle times live in a compact matrix: row ``g`` belongs to group
+    ``g`` (gate ``group_out[g]``) and the last row, ``n_groups``, is the
+    zero row shared by every net that does not transition or is a primary
+    input.  ``compact_rows`` maps each net row to its matrix row; plan and
+    cone sources are stored already mapped.
     """
 
     __slots__ = ("compiled", "values", "transitions",
-                 "n_net_transitions", "plans", "all_edges", "all_sources",
-                 "group_out", "group_plan", "group_start", "group_len",
-                 "group_neg", "_edge_pos", "_cone_cache", "_cone_cap")
+                 "n_net_transitions", "plans", "compact_rows", "all_edges",
+                 "all_sources", "group_out", "group_plan", "group_start",
+                 "group_len", "group_neg", "_edge_pos", "_cone_cache",
+                 "_cone_cap")
 
-    def __init__(self, compiled, values, plans):
+    def __init__(self, compiled, values, plans, compact_rows):
         self.compiled = compiled
         #: ``value1 | value2 << 1`` per net row (= topological order).
         self.values = values
@@ -275,6 +309,8 @@ class PatternSchedule:
         transitions = self.transitions = _toggled(values)
         self.n_net_transitions = int(transitions.sum())
         self.plans = plans
+        #: net row -> compact-matrix row (int32).
+        self.compact_rows = compact_rows
         empty = np.empty(0, dtype=np.int64)
         if plans:
             self.all_edges = np.concatenate([p.edges for p in plans])
@@ -327,6 +363,11 @@ class PatternSchedule:
         return FrameValues(self.values, self.compiled.net_rows, 1)
 
     @property
+    def n_groups(self) -> int:
+        """Transitioning gates, i.e. the index of the shared zero row."""
+        return len(self.group_out)
+
+    @property
     def edge_pos(self) -> Dict[int, int]:
         """Edge index -> position in ``all_edges`` (built on first use)."""
         pos = self._edge_pos
@@ -355,9 +396,7 @@ class PatternSchedule:
             if recorder.enabled:
                 recorder.count("kernel.cone_reuse")
             return entry[1]
-        cone = self._restrict(
-            affected if isinstance(affected, (set, frozenset)) else set(affected)
-        )
+        cone = self._restrict(affected)
         cache[key] = (affected, cone)
         if len(cache) > self._cone_cap:
             cache.popitem(last=False)
@@ -367,22 +406,24 @@ class PatternSchedule:
 
     def _restrict(self, affected) -> _ConeSchedule:
         compiled = self.compiled
-        names = compiled.net_names
         net_rows = compiled.net_rows
-        n_nets = compiled.n_nets
-        affected_mask = np.zeros(n_nets, dtype=bool)
-        for net in affected:
-            affected_mask[net_rows[net]] = True
-        keep = np.flatnonzero(affected_mask[self.group_out])
+        n_groups = self.n_groups
+        # A transitioning gate's compact row is its group index, so the
+        # kept groups are the affected nets' compact rows below the zero
+        # row; a mask over the groups sorts them into replay order.
+        rows = np.fromiter((net_rows[net] for net in affected), dtype=np.int64)
+        kept = np.zeros(n_groups + 1, dtype=bool)
+        kept[self.compact_rows[rows]] = True
+        keep = np.flatnonzero(kept[:n_groups])
         empty = np.empty(0, dtype=np.int64)
         if not keep.size:
             return _ConeSchedule(empty, empty, [], 0, {})
         out_rows = self.group_out[keep]
-        # Net row -> overlay row.  Groups keep their replay order, so a
+        # Compact row -> overlay row.  Groups keep their replay order, so a
         # recomputed source (strictly lower level) is always assigned
         # before any group that reads it — a single global pass suffices.
-        overlay_of = np.full(n_nets, -1, dtype=np.int64)
-        overlay_of[out_rows] = np.arange(len(keep), dtype=np.int64)
+        overlay_of = np.full(n_groups + 1, -1, dtype=np.int64)
+        overlay_of[keep] = np.arange(len(keep), dtype=np.int64)
         lens = self.group_len[keep]
         new_starts = np.zeros(len(keep), dtype=np.int64)
         np.cumsum(lens[:-1], out=new_starts[1:])
@@ -430,6 +471,7 @@ class PatternSchedule:
                 int(neg_row_cum[e] - neg_row_cum[s]),
                 int(neg_group_cum[e] - neg_group_cum[s]),
             ))
+        names = compiled.net_names
         overlay_rows = {
             names[int(row)]: index for index, row in enumerate(out_rows)
         }
@@ -439,7 +481,7 @@ class PatternSchedule:
     def __getstate__(self):
         # Cone restrictions and the edge-position index are cheap to
         # rebuild and access-pattern specific; keep worker pickles lean.
-        return (self.compiled, self.values, self.plans)
+        return (self.compiled, self.values, self.plans, self.compact_rows)
 
     def __setstate__(self, state):
         self.__init__(*state)
@@ -526,6 +568,10 @@ class CompiledCircuit:
         offset = 0
         index = 0
         n_active = len(active)
+        # Every active gate gets one compact row, in group order; every
+        # other net reads the shared zero row after them.  Sources sit at
+        # strictly lower levels, so their rows exist when a level maps them.
+        compact_rows = np.full(self.n_nets, n_active, dtype=np.int32)
         while index < n_active:
             current_level = self.level[active[index]]
             builders = {True: ([], [], [], []), False: ([], [], [], [])}
@@ -564,17 +610,23 @@ class CompiledCircuit:
             max_edges, max_starts, max_sources, max_outs = builders[False]
             edges = min_edges + max_edges
             starts = min_starts + [len(min_edges) + s for s in max_starts]
+            out_rows = np.asarray(min_outs + max_outs, dtype=np.int64)
+            row_lo = index - len(out_rows)
+            compact_rows[out_rows] = np.arange(
+                row_lo, index, dtype=np.int32
+            )
             plans.append(_GroupPlan(
                 np.asarray(edges, dtype=np.int64),
                 np.asarray(starts, dtype=np.int64),
-                np.asarray(min_sources + max_sources, dtype=np.int64),
-                np.asarray(min_outs + max_outs, dtype=np.int64),
+                compact_rows[min_sources + max_sources],
+                out_rows,
                 offset,
+                row_lo,
                 len(min_edges),
                 len(min_outs),
             ))
             offset += len(edges)
-        return PatternSchedule(self, values, plans)
+        return PatternSchedule(self, values, plans, compact_rows)
 
     # ------------------------------------------------------------------
     def __getstate__(self):
@@ -654,8 +706,10 @@ def simulate_transition_compiled(
         delays = timing.delays[:, sample_index : sample_index + 1]
         width = 1
 
-    stable = np.zeros((compiled.n_nets, width))
-    if len(schedule.all_edges):
+    n_groups = schedule.n_groups
+    stable = np.empty((n_groups + 1, width))
+    stable[n_groups] = 0.0
+    if n_groups:
         dl = _gather_delays(
             delays, schedule.all_edges,
             schedule.edge_pos if extra_delay else {}, extra_delay,
@@ -665,11 +719,11 @@ def simulate_transition_compiled(
             if plan.neg_rows:
                 seg = rows[: plan.neg_rows]
                 np.negative(seg, out=seg)
-            out = np.maximum.reduceat(rows, plan.starts, axis=0)
+            out = stable[plan.row_lo : plan.row_hi]
+            np.maximum.reduceat(rows, plan.starts, axis=0, out=out)
             if plan.neg_groups:
                 seg = out[: plan.neg_groups]
                 np.negative(seg, out=seg)
-            stable[plan.out_rows] = out
 
     recorder = obs.get_recorder()
     if recorder.enabled:
@@ -682,7 +736,7 @@ def simulate_transition_compiled(
         v2,
         schedule.val1,
         schedule.val2,
-        StableTimes(stable, compiled.net_rows),
+        StableTimes(stable, compiled.net_rows, schedule.compact_rows),
         width,
         sample_index,
         kernel_state=schedule,

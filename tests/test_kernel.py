@@ -9,11 +9,15 @@ every parallel backend.  A kernel that is fast but drifts by one ULP
 fails this file.
 """
 
+import inspect
+import pickle
+import typing
+
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.circuits import GeneratorConfig, generate_circuit, load_benchmark
+from repro.circuits import GateType, GeneratorConfig, generate_circuit, load_benchmark
 from repro.core import ParallelConfig, build_dictionary, build_multi_clock_dictionary
 from repro.timing import (
     CircuitTiming,
@@ -25,6 +29,7 @@ from repro.timing import (
     simulate_transition,
     simulate_transition_reference,
 )
+from repro.timing.dynamic import replay_sizes
 from repro.timing.kernel import ConeStableTimes, StableTimes
 
 
@@ -442,3 +447,104 @@ class TestStableContainers:
             _transition_matrix(circuit, compiled),
             _transition_matrix(circuit, reference),
         )
+
+
+# ----------------------------------------------------------------------
+# compact settle-time matrix
+# ----------------------------------------------------------------------
+def _active_gates(reference):
+    """Non-input nets the pattern transitions, from the reference values."""
+    circuit = reference.timing.circuit
+    return [
+        net for net in circuit.topological_order
+        if circuit.gates[net].gate_type is not GateType.INPUT
+        and reference.val1[net] != reference.val2[net]
+    ]
+
+
+def _candidate_edge(base):
+    """A candidate pin of the pattern schedule (its replay is not skipped)."""
+    return int(base.kernel_state.all_edges[-1])
+
+
+class TestCompactMatrix:
+    @pytest.mark.parametrize("name", ["s1196", "s5378"])
+    def test_one_row_per_transitioning_gate_plus_zero_row(self, name):
+        circuit = load_benchmark(name, seed=0)
+        timing = CircuitTiming(circuit, SampleSpace(n_samples=16, seed=2))
+        for v1, v2 in _vectors(circuit, 21, count=3):
+            reference = simulate_transition_reference(timing, v1, v2)
+            compiled = simulate_transition(timing, v1, v2)
+            n_active = len(_active_gates(reference))
+            assert compiled.stable.matrix.shape == (n_active + 1, 16)
+            assert not compiled.stable.matrix[n_active].any()
+
+    def test_rows_are_read_only(self, small_timing):
+        circuit = small_timing.circuit
+        v1, v2 = _vectors(circuit, 22)
+        reference = simulate_transition_reference(small_timing, v1, v2)
+        base = simulate_transition(small_timing, v1, v2)
+        active = _active_gates(reference)
+        quiet = next(
+            net for net in circuit.topological_order
+            if reference.val1[net] == reference.val2[net]
+        )
+        for net in (quiet, active[0]):
+            with pytest.raises(ValueError):
+                base.stable[net][0] = 1.0
+            with pytest.raises(ValueError):
+                base.stable[net] += 1.0
+        _assert_same_sim(reference, base)
+
+        edge = _candidate_edge(base)
+        cone = circuit.fanout_cone(circuit.edges[edge].sink)
+        sizes = [np.full(small_timing.space.n_samples, s) for s in (0.4, 1.3)]
+        expected = [
+            resimulate_with_extra_reference(reference, {edge: x}, affected=cone)
+            for x in sizes
+        ]
+        _assert_same_sim(
+            expected[0], resimulate_with_extra(base, {edge: sizes[0]}, affected=cone)
+        )
+        nets = list(circuit.outputs) + active[:3]
+        batched = replay_sizes(base, edge, sizes, cone, nets)
+        for index, patched in enumerate(expected):
+            assert np.array_equal(
+                batched[index], np.stack([patched.stable[net] for net in nets])
+            )
+
+    def test_pickle_round_trip(self, small_timing):
+        circuit = small_timing.circuit
+        v1, v2 = _vectors(circuit, 23)
+        base = simulate_transition(small_timing, v1, v2)
+        clone = pickle.loads(pickle.dumps(base))
+        assert isinstance(clone.stable, StableTimes)
+        assert not clone.stable.matrix.flags.writeable
+        assert list(clone.stable) == list(base.stable)
+        for net in base.stable:
+            assert np.array_equal(clone.stable[net], base.stable[net]), net
+
+        edge = _candidate_edge(base)
+        cone = circuit.fanout_cone(circuit.edges[edge].sink)
+        extra = {edge: np.full(small_timing.space.n_samples, 0.9)}
+        _assert_same_sim(
+            resimulate_with_extra(base, extra, affected=cone),
+            resimulate_with_extra(clone, extra, affected=cone),
+        )
+        nets = list(circuit.outputs)
+        assert np.array_equal(
+            replay_sizes(base, edge, [extra[edge]], cone, nets),
+            replay_sizes(clone, edge, [extra[edge]], cone, nets),
+        )
+
+
+def test_kernel_type_hints_resolve():
+    from repro.timing import kernel
+
+    functions = [
+        getattr(kernel, name) for name in kernel.__all__
+        if inspect.isfunction(getattr(kernel, name))
+    ]
+    assert kernel.replay_cone_sizes_compiled in functions
+    for function in functions:
+        typing.get_type_hints(function)
