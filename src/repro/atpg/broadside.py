@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .. import obs
 from ..circuits.library import GateType
 from ..circuits.netlist import Circuit
 from ..rng import RngLike, coerce_rng
@@ -114,7 +115,10 @@ def generate_broadside_test(
     (:func:`repro.atpg.pathdelay.build_path_constraints`), then re-keyed
     onto the expanded netlist — frame 0 constraints onto the ``f0:`` copy,
     frame 1 onto ``f1:`` — and justified *single-frame* there, so the
-    capture relation is enforced structurally rather than by search.
+    capture relation is enforced structurally rather than by search.  As
+    in :func:`repro.atpg.pathdelay.generate_test_for_path`, a set that
+    :meth:`~repro.atpg.justify.Justifier.refutes` proves unsatisfiable
+    skips the search.
     """
     rng = coerce_rng(rng)
     if model is None:
@@ -122,6 +126,7 @@ def generate_broadside_test(
     expanded = model.expanded
     justifier = justifier or Justifier(expanded)
     captured = {ppi for ppi, _ppo in circuit.scan_pairs}
+    recorder = obs.get_recorder()
 
     for rising in (True, False):
         for constraints in build_path_constraints(circuit, path, rising, criterion):
@@ -136,6 +141,10 @@ def generate_broadside_test(
                     break
                 mapped[key] = value
             if not feasible:
+                continue
+            if justifier.refutes(mapped):
+                if recorder.enabled:
+                    recorder.count("atpg.implication_rejects")
                 continue
             result = justifier.justify(mapped, backtrack_limit=backtrack_limit)
             if not result.success:

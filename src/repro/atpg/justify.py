@@ -23,6 +23,17 @@ constraints, by PODEM-style decision making:
   propagates only the flipped pin — values are a function of the pins, so
   the state is exact without re-simulation.
 
+Before searching, a caller can ask :meth:`Justifier.refutes` whether the
+constraints are unsatisfiable by implication alone.  Per frame, it pins the
+constraint values on the start values and propagates forced values to a
+fixpoint over the same cone — forward evaluation, BUF/NOT both ways, a
+non-controlled AND-family output forcing every input, a controlled one
+with a single X input forcing that input, an XOR with a single X input
+forcing the parity — with no decisions, and reports the first conflict.
+Every forced value holds in every satisfying assignment, so a refuted set
+is one ``justify`` would only fail on; most constraint sets of long, false
+paths are refuted this way for a fraction of a failing search's cost.
+
 The engine knows nothing about delay testing itself — constraint semantics
 live in :mod:`repro.atpg.pathdelay`.
 """
@@ -219,6 +230,95 @@ def _settle(
                 push(queue, successor)
 
 
+def _implies_conflict(
+    values: bytearray,
+    pins: List[Tuple[int, int]],
+    in_cone: bytearray,
+    table: _Table,
+) -> bool:
+    """Pin ``(row, value)`` pairs in one frame; True on a forced conflict.
+
+    ``values`` starts as the settled all-X values.  Every value derived
+    here holds in every binary input assignment that meets the pins, so a
+    conflict proves them unsatisfiable.  A marked gate is re-examined each
+    time its output or one of its inputs gets a value, until none changes:
+
+    * forward three-valued evaluation; only when it yields X do the
+      backward rules below apply to a known output,
+    * BUF/NOT: the input follows the output,
+    * AND/OR/NAND/NOR: a non-controlled output forces every input to the
+      non-controlling value; a controlled output with exactly one X input
+      (and so no controlling one) forces that input to the controlling
+      value,
+    * XOR/XNOR: with exactly one X input, the output forces its parity.
+    """
+    opcodes, fanins, fanouts = table[:3]
+    work: List[int] = []
+    implied = pins
+    while True:
+        for row, value in implied:
+            actual = values[row]
+            if actual == X:
+                values[row] = value
+                if opcodes[row] != _OP_INPUT:
+                    work.append(row)
+                work.extend(
+                    successor for successor in fanouts[row] if in_cone[successor]
+                )
+            elif actual != value:
+                return True
+        implied = ()
+        if not work:
+            return False
+        row = work.pop()
+        op = opcodes[row]
+        rows_in = fanins[row]
+        if op == _OP_BUF or op == _OP_NOT:
+            fanin = rows_in[0]
+            flip = op == _OP_NOT
+            if values[fanin] != X:
+                implied = ((row, values[fanin] ^ flip),)
+            elif values[row] != X:
+                implied = ((fanin, values[row] ^ flip),)
+        elif op <= _OP_NOR:  # AND, NAND, OR, NOR
+            controlling = _CONTROLLING[op]
+            inverted = op in _INVERTING
+            new = 1 - controlling
+            n_x = 0
+            for fanin in rows_in:
+                value = values[fanin]
+                if value == controlling:
+                    new = controlling
+                    break
+                if value == X:
+                    n_x += 1
+                    x_input = fanin
+            if n_x and new != controlling:
+                new = X
+            out = values[row]
+            if new != X:
+                implied = ((row, new ^ inverted),)
+            elif out != X:
+                if out ^ inverted != controlling:
+                    implied = [(fanin, 1 - controlling) for fanin in rows_in]
+                elif n_x == 1:
+                    implied = ((x_input, controlling),)
+        else:  # XOR, XNOR
+            parity = 1 if op == _OP_XNOR else 0
+            n_x = 0
+            for fanin in rows_in:
+                value = values[fanin]
+                if value == X:
+                    n_x += 1
+                    x_input = fanin
+                else:
+                    parity ^= value
+            if not n_x:
+                implied = ((row, parity),)
+            elif n_x == 1 and values[row] != X:
+                implied = ((x_input, values[row] ^ parity),)
+
+
 class Justifier:
     """Reusable justification engine for one circuit.
 
@@ -239,6 +339,64 @@ class Justifier:
         self.guidance = guidance
 
     # ------------------------------------------------------------------
+    def _constraint_cone(
+        self, constraints: Dict[Key, int]
+    ) -> Tuple[_Table, List[Tuple[int, int, int]], bytearray]:
+        """Validate ``constraints``; return the table, targets and cone mark.
+
+        Targets are ``(row, frame, value)`` in constraint order; the mark
+        flags the union of the constrained nets' fanin cones.  Raises
+        ``KeyError`` for an unknown net or a DFF inside the cone and
+        ``ValueError`` for a frame or value outside ``{0, 1}``.
+        """
+        for (net, frame), value in constraints.items():
+            if net not in self.circuit.gates:
+                raise KeyError(f"unknown net {net!r} in constraints")
+            if frame not in (0, 1) or value not in (0, 1):
+                raise ValueError(f"bad constraint {(net, frame)} = {value}")
+
+        table = _circuit_table(self.circuit)
+        opcodes, fanins, _fanouts, _start = table
+        rows = self.circuit.topological_index
+        targets = [
+            (rows[net], frame, value) for (net, frame), value in constraints.items()
+        ]
+        in_cone = bytearray(len(opcodes))
+        stack: List[int] = []
+        pop, push = stack.pop, stack.append
+        for row, _frame, _value in targets:
+            if not in_cone[row]:
+                in_cone[row] = 1
+                push(row)
+        while stack:
+            row = pop()
+            if opcodes[row] == _OP_DFF:
+                raise KeyError(GateType.DFF)
+            for fanin in fanins[row]:
+                if not in_cone[fanin]:
+                    in_cone[fanin] = 1
+                    push(fanin)
+        return table, targets, in_cone
+
+    def refutes(self, constraints: Dict[Key, int]) -> bool:
+        """True when implication alone proves ``constraints`` unsatisfiable.
+
+        Each frame starts from the settled all-X values with its
+        constraints pinned and propagates forced values to a fixpoint over
+        the constraint cone (see :func:`_implies_conflict`); the frames
+        share no gate, so a conflict in either one refutes the set.  No
+        decision is made, so ``False`` proves nothing: :meth:`justify`
+        must still search.  Raises what :meth:`justify` raises.
+        """
+        table, targets, in_cone = self._constraint_cone(constraints)
+        start = table[3]
+        for frame in (0, 1):
+            pins = [(row, value) for row, f, value in targets if f == frame]
+            if pins and _implies_conflict(bytearray(start), pins, in_cone, table):
+                return True
+        return False
+
+    # ------------------------------------------------------------------
     def justify(
         self,
         constraints: Dict[Key, int],
@@ -250,33 +408,8 @@ class Justifier:
         presumed (backtrack limit) unsatisfiable.
         """
         limit = backtrack_limit if backtrack_limit is not None else self.backtrack_limit
-        for (net, frame), value in constraints.items():
-            if net not in self.circuit.gates:
-                raise KeyError(f"unknown net {net!r} in constraints")
-            if frame not in (0, 1) or value not in (0, 1):
-                raise ValueError(f"bad constraint {(net, frame)} = {value}")
-
-        table = _circuit_table(self.circuit)
-        opcodes, fanins, fanouts, start = table
-        rows = self.circuit.topological_index
-        targets = [
-            (rows[net], frame, value) for (net, frame), value in constraints.items()
-        ]
-        # mark the union of the constrained nets' fanin cones
-        in_cone = bytearray(len(opcodes))
-        stack = []
-        for row, _frame, _value in targets:
-            if not in_cone[row]:
-                in_cone[row] = 1
-                stack.append(row)
-        while stack:
-            row = stack.pop()
-            if opcodes[row] == _OP_DFF:
-                raise KeyError(GateType.DFF)
-            for fanin in fanins[row]:
-                if not in_cone[fanin]:
-                    in_cone[fanin] = 1
-                    stack.append(fanin)
+        table, targets, in_cone = self._constraint_cone(constraints)
+        _opcodes, _fanins, fanouts, start = table
 
         values = (bytearray(start), bytearray(start))
         trail: List[Tuple[bytearray, int]] = []

@@ -1,9 +1,10 @@
 """Path delay fault ATPG (paper Sections G, H-4).
 
 Builds two-frame value constraints that sensitize a given path under the
-robust or non-robust criterion, hands them to the
-:class:`~repro.atpg.justify.Justifier`, random-fills the free inputs and
-verifies the achieved sensitization class on the settled logic values.
+robust or non-robust criterion, drops the sets implication refutes, hands
+the rest to the :class:`~repro.atpg.justify.Justifier`, random-fills the
+free inputs and verifies the achieved sensitization class on the settled
+logic values.
 
 Constraint semantics (see :mod:`repro.paths.sensitization` for discussion):
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from .. import obs
 from ..circuits.library import CONTROLLING_VALUE, GateType, INVERTING
 from ..circuits.netlist import Circuit
 from ..logic.simulator import evaluate_two_frame, frame_values
@@ -181,16 +183,27 @@ def generate_test_for_path(
     """Generate a two-vector test sensitizing ``path``, or ``None``.
 
     Tries both launch polarities and every XOR side-phase variant under the
-    requested ``criterion``.  Free primary inputs are filled randomly; the
-    settled values are then classified and the test accepted only if the
-    achieved sensitization is at least ``criterion`` (random fill cannot
-    break the constraints, but the check also guards the constraint builder
-    itself — this is the "false-path-aware" filter of Section H-4).
+    requested ``criterion``.  Each constraint set is first offered to
+    :meth:`Justifier.refutes`: most long paths are false, and implication
+    alone proves most of their sets unsatisfiable, so PODEM
+    (:meth:`Justifier.justify`) searches only the sets it cannot refute
+    (``atpg.implication_rejects`` counts the others).  A refuted set could
+    never have been justified, so the tests are those the search alone
+    yields.  Free primary inputs are filled randomly; the settled values
+    are then classified and the test accepted only if the achieved
+    sensitization is at least ``criterion`` (random fill cannot break the
+    constraints, but the check also guards the constraint builder itself —
+    this is the "false-path-aware" filter of Section H-4).
     """
     rng = coerce_rng(rng)
     justifier = justifier or Justifier(circuit)
+    recorder = obs.get_recorder()
     for rising in (True, False):
         for constraints in build_path_constraints(circuit, path, rising, criterion):
+            if justifier.refutes(constraints):
+                if recorder.enabled:
+                    recorder.count("atpg.implication_rejects")
+                continue
             result = justifier.justify(constraints, backtrack_limit=backtrack_limit)
             if not result.success:
                 continue

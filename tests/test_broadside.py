@@ -130,3 +130,49 @@ class TestGeneration:
             s27_scan, path, Sensitization.ROBUST, model=model, backtrack_limit=0
         )
         assert result is None or result.achieved.at_least(Sensitization.ROBUST)
+
+
+class TestPinnedDigest:
+    """``generate_broadside_test`` outputs, pinned.
+
+    The ``k_longest_paths_through`` paths of strided edge sites on s27 and
+    s1196, both criteria, each call on its own seeded stream; hashes each
+    test's path, ``v1``, ``v2`` and achieved class (or its absence).  Any
+    change to constraint mapping, justification, fill or the capture
+    check moves the digest.
+    """
+
+    PINNED = {
+        "s27": "59fa8518371f069ddfad381a439679302c7adec91015cb7142bf215d17a519cd",
+        "s1196": "2622c7a449645c8d053438dbbf532e4db2e0d5aa9f2d72ec85a6cc9f7bc5e896",
+    }
+    STRIDES = {"s27": 5, "s1196": 97}
+
+    @staticmethod
+    def digest(name, stride, n_sites=6, k=3):
+        import hashlib
+
+        circuit = load_benchmark(name)
+        timing = CircuitTiming(circuit, SampleSpace(n_samples=16, seed=0))
+        model = broadside_expand(circuit)
+        edges = circuit.edges
+        h = hashlib.sha256()
+        for i in range(n_sites):
+            site = edges[(i * stride) % len(edges)]
+            for j, path in enumerate(k_longest_paths_through(timing, site, k=k)):
+                for criterion in (Sensitization.ROBUST, Sensitization.NON_ROBUST):
+                    test = generate_broadside_test(
+                        circuit, path, criterion, model=model,
+                        rng=random.Random(1000 * i + j),
+                    )
+                    if test is None:
+                        h.update(b"none")
+                    else:
+                        h.update(repr((
+                            test.path.nets, test.v1, test.v2, test.achieved.name,
+                        )).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name", ["s27", "s1196"])
+    def test_digest_is_pinned(self, name):
+        assert self.digest(name, self.STRIDES[name]) == self.PINNED[name]

@@ -1,7 +1,9 @@
 """Unit tests for the two-frame justification engine."""
 
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.atpg import Justifier
 from repro.atpg.justify import _circuit_table
@@ -369,3 +371,114 @@ class TestCircuitTable:
     def test_dff_inside_a_cone_raises(self):
         with pytest.raises(KeyError):
             Justifier(self.sequential()).justify({("h", 0): 1})
+
+
+def digest_constraint_sets(name, stride, n_sites=4, k=3):
+    """The constraint sets :class:`TestJustifyDigest` justifies, in order."""
+    from repro.atpg.pathdelay import build_path_constraints
+    from repro.paths import k_longest_paths_through
+    from repro.paths.sensitization import Sensitization
+    from repro.timing import CircuitTiming, SampleSpace
+
+    circuit = load_benchmark(name)
+    timing = CircuitTiming(circuit, SampleSpace(n_samples=16, seed=0))
+    edges = circuit.edges
+    for i in range(n_sites):
+        site = edges[(i * stride) % len(edges)]
+        for path in k_longest_paths_through(timing, site, k=k):
+            for criterion in (Sensitization.ROBUST, Sensitization.NON_ROBUST):
+                for rising in (True, False):
+                    yield from build_path_constraints(
+                        circuit, path, rising, criterion
+                    )
+
+
+@st.composite
+def path_constraint_sets(draw):
+    """A ``build_path_constraints`` variant of a K-longest path at a random
+    s1196 site.  Random net sets are almost never refuted on s1196, while
+    about half of its long paths' sets are; c17 and s27 have no path set
+    that implication refutes."""
+    from repro.atpg.pathdelay import build_path_constraints
+    from repro.paths import k_longest_paths_through
+    from repro.paths.sensitization import Sensitization
+    from repro.timing import CircuitTiming, SampleSpace
+
+    circuit = load_benchmark("s1196")
+    timing = CircuitTiming(circuit, SampleSpace(n_samples=16, seed=0))
+    rng = draw(st.randoms(use_true_random=False))  # uniform over sites
+    path = rng.choice(k_longest_paths_through(timing, rng.choice(circuit.edges), k=3))
+    criterion = draw(
+        st.sampled_from((Sensitization.ROBUST, Sensitization.NON_ROBUST))
+    )
+    variants = list(
+        build_path_constraints(circuit, path, draw(st.booleans()), criterion)
+    )
+    assume(variants)
+    return "s1196", draw(st.sampled_from(variants))
+
+
+class TestRefutation:
+    """``Justifier.refutes`` proves only unsatisfiable constraint sets."""
+
+    @staticmethod
+    def check_sound(name, constraints):
+        """A set is refuted exactly when one frame's constraints are, and
+        that frame alone admits no assignment under an exhaustive search.
+
+        The frames share no gate.  Searched together, PODEM re-decides the
+        other frame's inputs under every conflict, which can take ~10^5
+        backtracks; one frame of an s1196 path set takes up to ~10^4.  At
+        that depth :func:`reference_justify` re-simulates for minutes, so
+        the search is the engine's with no backtrack limit, which makes
+        the reference's decisions (:class:`TestReferenceOracle`).
+        """
+        circuit = load_benchmark(name)
+        justifier = Justifier(circuit)
+        frames = [
+            {key: value for key, value in constraints.items() if key[1] == frame}
+            for frame in (0, 1)
+        ]
+        refuted = [bool(part) and justifier.refutes(part) for part in frames]
+        assert justifier.refutes(constraints) == any(refuted)
+        for part, proven in zip(frames, refuted):
+            if proven:
+                assert not justifier.justify(part, backtrack_limit=math.inf).success
+
+    @settings(max_examples=40, deadline=None)
+    @given(constraint_sets())
+    def test_refuted_net_sets_are_unsatisfiable(self, case):
+        self.check_sound(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(path_constraint_sets())
+    def test_refuted_path_sets_are_unsatisfiable(self, case):
+        self.check_sound(*case)
+
+    #: (refuted, total) over :class:`TestJustifyDigest`'s constraint sets.
+    REFUTED = {"s1196": (24, 56), "s1488": (124, 124)}
+
+    @pytest.mark.parametrize("name", ["s1196", "s1488"])
+    def test_digest_sets_refuted_only_where_search_fails(self, name):
+        justifier = Justifier(load_benchmark(name))
+        sets = list(digest_constraint_sets(name, TestJustifyDigest.STRIDES[name]))
+        refuted = [constraints for constraints in sets if justifier.refutes(constraints)]
+        assert (len(refuted), len(sets)) == self.REFUTED[name]
+        for constraints in refuted:
+            assert not justifier.justify(constraints, backtrack_limit=80).success
+
+    def test_raises_what_justify_raises(self, c17):
+        cases = [
+            (c17, {("nope", 0): 1}),
+            (c17, {("22", 2): 1}),
+            (c17, {("22", 0): 5}),
+            (TestCircuitTable.sequential(), {("h", 0): 1}),
+        ]
+        for circuit, constraints in cases:
+            justifier = Justifier(circuit)
+            raised = []
+            for check in (justifier.justify, justifier.refutes):
+                with pytest.raises((KeyError, ValueError)) as info:
+                    check(constraints)
+                raised.append((info.type, str(info.value)))
+            assert raised[0] == raised[1]

@@ -164,6 +164,27 @@ class TestGeneration:
             is None
         )
 
+    def test_implication_rejects_counted(self, c17):
+        """Constraint sets refuted before PODEM are counted."""
+        from repro import obs
+
+        conflict = Circuit("conflict")
+        conflict.add_input("a")
+        conflict.add_gate("inv", GateType.NOT, ["a"])
+        conflict.add_gate("g1", GateType.AND, ["a", "inv"])
+        conflict.mark_output("g1")
+        conflict.freeze()
+        cases = [
+            (c17, Path(("1", "10", "22")), True),
+            (conflict, Path(("a", "g1")), False),
+        ]
+        for circuit, path, testable in cases:
+            with obs.use_recorder(obs.Recorder()) as recorder:
+                test = generate_test_for_path(circuit, path, Sensitization.ROBUST)
+            rejects = recorder.counter_value("atpg.implication_rejects")
+            assert (test is not None) == testable
+            assert rejects == 0 if testable else rejects >= 1
+
     def test_benchmark_paths(self, bench_timing):
         """Every generated test on a benchmark verifies against its claim.
 
