@@ -31,13 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from .. import obs
 from ..circuits.library import CONTROLLING_VALUE, GateType, INVERTING
 from ..circuits.netlist import Circuit
-from ..logic.simulator import evaluate_two_frame, frame_values
 from ..rng import RngLike, coerce_rng
 from ..paths.model import Path
 from ..paths.sensitization import Sensitization, classify_path_sensitization
+from ..timing.kernel import compile_circuit
 from .justify import Justifier, Key
 
 __all__ = ["PathTest", "build_path_constraints", "generate_test_for_path"]
@@ -193,10 +195,15 @@ def generate_test_for_path(
     are then classified and the test accepted only if the achieved
     sensitization is at least ``criterion`` (random fill cannot break the
     constraints, but the check also guards the constraint builder itself —
-    this is the "false-path-aware" filter of Section H-4).
+    this is the "false-path-aware" filter of Section H-4).  The settled
+    values come from the circuit's cached pattern schedule
+    (:meth:`~repro.timing.kernel.CompiledCircuit.schedule_for`), so the
+    timing simulation of an accepted test reuses it instead of settling
+    the vectors again.
     """
     rng = coerce_rng(rng)
     justifier = justifier or Justifier(circuit)
+    compiled = compile_circuit(circuit)
     recorder = obs.get_recorder()
     for rising in (True, False):
         for constraints in build_path_constraints(circuit, path, rising, criterion):
@@ -212,10 +219,12 @@ def generate_test_for_path(
             fills = ["quiet"] + ["random"] * max(fill_attempts - 1, 0)
             for fill in fills:
                 v1, v2 = result.vectors(circuit, rng, fill=fill)
-                val1, val2 = frame_values(
-                    circuit, evaluate_two_frame(circuit, v1, v2)
+                schedule = compiled.schedule_for(
+                    np.asarray(v1, dtype=int), np.asarray(v2, dtype=int)
                 )
-                achieved = classify_path_sensitization(circuit, path, val1, val2)
+                achieved = classify_path_sensitization(
+                    circuit, path, schedule.val1, schedule.val2
+                )
                 if achieved.at_least(criterion):
                     return PathTest(path, v1, v2, rising, achieved)
     return None

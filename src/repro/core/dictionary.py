@@ -22,13 +22,20 @@ re-simulations; three structural facts keep it tractable:
   every threshold decision, so plain builds never replay for it
   (:data:`CROSSING_TOL` absorbs float rounding).
 
-On top of that, construction exploits three scaling levers (all
+On top of that, construction exploits four scaling levers (all
 preserving bit-exact results):
 
 * **cone batching** — suspects sharing a sink net share their fanout
   cone, their affected-output set, and the per-pattern transition gating;
   that per-sink activity plan is computed once and reused by every
   suspect (and every clock of a sweep) on the cone,
+* **pattern batching** — a plain build works pattern column by pattern
+  column: every live suspect of a chunk that the column reaches is
+  restricted and replayed in one level-ordered pass
+  (:func:`repro.timing.dynamic.replay_cones`) and all of their entries
+  are thresholded at once per clock.  Each entry is the same reduction
+  over the same operands, then the same exact count over the same width,
+  as a replay of that suspect alone,
 * **parallel fan-out** — suspects are independent, so signature chunks
   fan out across worker processes (:mod:`repro.core.parallel`); results
   reassemble in suspect order, making parallel builds bit-identical to
@@ -58,11 +65,7 @@ import numpy as np
 
 from ..circuits.netlist import Circuit, Edge
 from ..timing.critical import simulate_pattern_set
-from ..timing.dynamic import (
-    TransitionSimResult,
-    replay_sizes,
-    resimulate_with_extra,
-)
+from ..timing.dynamic import TransitionSimResult, replay_cones, replay_sizes
 from ..timing.instance import CircuitTiming
 from ..atpg.patterns import PatternPairSet
 from ..sampling import (
@@ -326,52 +329,61 @@ def _pruned_entries(
 def _signatures_for_chunk(
     job: _SignatureJob, indices: Sequence[int]
 ) -> List[np.ndarray]:
-    """Signature matrices for one chunk of suspect indices (worker body)."""
+    """Signature matrices for one chunk of suspect indices (worker body).
+
+    Works per pattern column rather than per suspect: every live suspect
+    of the chunk that the column reaches is one copy of
+    :func:`~repro.timing.dynamic.replay_cones`, so the column restricts
+    and replays all of their cones in one pass and thresholds all of
+    their entries at once per clock.  Every entry is the same count over
+    the same width as a per-suspect replay would threshold, so the
+    grouping never changes a bit.
+    """
     n_patterns = len(job.base_simulations)
+    plans = [job.plan_by_sink[job.suspects[index].sink] for index in indices]
+    live = [k for k, (_cone, activity) in enumerate(plans) if activity]
+    # Live suspects' signatures are views of one lazily-zeroed block: the
+    # per-suspect cost is a view instead of an allocate-and-memset of a
+    # matrix whose cells are mostly never written.
+    stack = np.zeros((len(live),) + job.m_crt.shape, dtype=job.m_crt.dtype)
+    # Pattern column -> its copies: (slot, edge index, cone, rows, nets).
+    copies: Dict[int, List[Tuple]] = {}
+    for slot, k in enumerate(live):
+        cone, activity = plans[k]
+        edge_index = job.edge_indices[indices[k]]
+        for column, rows, nets in activity:
+            copies.setdefault(column, []).append(
+                (slot, edge_index, cone, rows, nets)
+            )
+    for column, column_copies in copies.items():
+        slots, edge_indices, cones, rows, nets = zip(*column_copies)
+        settles = replay_cones(
+            job.base_simulations[column], edge_indices, job.size_samples,
+            cones, nets,
+        )
+        out_rows = np.concatenate(rows)
+        owners = np.repeat(slots, [len(part) for part in rows])
+        for block, clk in enumerate(job.clks):
+            col = block * n_patterns + column
+            stack[owners, out_rows, col] = (
+                (settles > clk).mean(axis=1) - job.m_crt[out_rows, col]
+            )
     results: List[np.ndarray] = []
     shared_zero: Optional[np.ndarray] = None
-    # Live suspects draw their signature matrices from block allocations:
-    # one lazily-zeroed arena covers many suspects, so the per-suspect
-    # cost is a view instead of an allocate-and-memset of a matrix whose
-    # cells are mostly never written.
-    arena: Optional[np.ndarray] = None
-    arena_used = 0
-    for index in indices:
-        edge = job.suspects[index]
-        edge_index = job.edge_indices[index]
-        cone, activity = job.plan_by_sink[edge.sink]
-        if not activity:
-            # No pattern toggles this sink: the signature is identically
-            # zero.  All such suspects in a chunk share one read-only
-            # matrix — a dictionary over every edge of a large circuit is
-            # mostly dead suspects, so this dominates allocation.
-            if shared_zero is None:
-                shared_zero = np.zeros(job.m_crt.shape, dtype=job.m_crt.dtype)
-                shared_zero.setflags(write=False)
-            results.append(shared_zero)
+    slot = 0
+    for _cone, activity in plans:
+        if activity:
+            results.append(stack[slot])
+            slot += 1
             continue
-        if arena is None or arena_used == len(arena):
-            arena = np.zeros((64,) + job.m_crt.shape, dtype=job.m_crt.dtype)
-            arena_used = 0
-        signature = arena[arena_used]
-        arena_used += 1
-        for column, rows, nets in activity:
-            patched = resimulate_with_extra(
-                job.base_simulations[column],
-                {edge_index: job.size_samples},
-                affected=cone,
-            )
-            stable = patched.stable
-            take = getattr(stable, "take_rows", None)
-            if take is not None:
-                stacked = take(nets)
-            else:
-                stacked = np.stack([stable[net] for net in nets])
-            for block, clk in enumerate(job.clks):
-                col = block * n_patterns + column
-                errs = (stacked > clk).mean(axis=1)
-                signature[rows, col] = errs - job.m_crt[rows, col]
-        results.append(signature)
+        # No pattern toggles this sink: the signature is identically
+        # zero.  All such suspects in a chunk share one read-only matrix —
+        # a dictionary over every edge of a large circuit is mostly dead
+        # suspects, so this dominates allocation.
+        if shared_zero is None:
+            shared_zero = np.zeros(job.m_crt.shape, dtype=job.m_crt.dtype)
+            shared_zero.setflags(write=False)
+        results.append(shared_zero)
     return results
 
 

@@ -63,6 +63,7 @@ __all__ = [
     "resimulate_with_extra",
     "resimulate_with_extra_reference",
     "replay_sizes",
+    "replay_cones",
     "edge_offsets",
     "active_kernel",
     "KERNEL_ENV",
@@ -346,10 +347,13 @@ def resimulate_with_extra(
     reused verbatim (a delay defect never changes settled logic).  The base
     must be a full-width simulation of the same timing model.
 
-    ``affected`` optionally supplies that cone union precomputed — the
-    dictionary builder re-simulates every suspect of a sink against many
-    patterns and amortizes the cone traversal across all of them.  It must
-    cover (at least) the fanout cones of every edge in ``extra_delay``.
+    ``affected`` optionally supplies that cone union precomputed, so a
+    caller that replays one suspect against many patterns (the sampled
+    dictionary path, through :func:`replay_sizes`) amortizes the cone
+    traversal, and the compiled kernel's cone restriction, across all of
+    them.  It must cover (at least) the fanout cones of every edge in
+    ``extra_delay``.  Plain dictionary builds replay all suspects of one
+    pattern at once through :func:`replay_cones` instead.
 
     When the base carries a compiled-kernel schedule and the compiled
     kernel is active, the replay runs the cone-restricted slice of that
@@ -399,6 +403,42 @@ def replay_sizes(
         else:
             out[index] = np.stack([stable[net] for net in nets])
     return out
+
+
+def replay_cones(
+    base: TransitionSimResult,
+    edge_indices: Sequence[int],
+    sizes: np.ndarray,
+    cones: Sequence[Sequence[str]],
+    nets: Sequence[Sequence[str]],
+) -> np.ndarray:
+    """Batched :func:`resimulate_with_extra` over many suspect edges of
+    one pattern.
+
+    Copy ``c`` adds ``sizes`` to edge ``edge_indices[c]`` with
+    ``affected=cones[c]``; the result stacks the settle rows of every
+    ``nets[c]`` in copy order into one ``(sum(len(nets[c])), width)``
+    array — the plain dictionary builder thresholds every entry of a
+    pattern column in one pass over it.  The compiled kernel restricts
+    and replays every copy in one level-ordered pass; otherwise each copy
+    runs :func:`resimulate_with_extra`.  Bit-identical to that per-copy
+    loop on either kernel.
+    """
+    if base.kernel_state is not None and active_kernel() == "compiled":
+        from .kernel import replay_cones_compiled
+
+        return replay_cones_compiled(base, edge_indices, sizes, cones, nets)
+    parts = [np.empty((0, base.width))]
+    for edge_index, cone, group in zip(edge_indices, cones, nets):
+        stable = resimulate_with_extra(
+            base, {int(edge_index): sizes}, affected=cone
+        ).stable
+        take = getattr(stable, "take_rows", None)
+        if take is not None:
+            parts.append(take(group))
+        else:
+            parts.append(np.stack([stable[net] for net in group]))
+    return np.concatenate(parts)
 
 
 def resimulate_with_extra_reference(

@@ -28,17 +28,24 @@ into three stages with very different change rates:
    contiguous slice of the compact matrix, which is read-only afterwards.
    Nothing in this stage is per-gate Python.
 
-Cone-restricted replay (:func:`resimulate_with_extra_compiled`) filters a
-pattern schedule down to the suspect's fanout cone and evaluates it into a
-small ``(n_recomputed, width)`` overlay on top of the base result — the
-fault-dictionary builder's innermost loop re-simulates one suspect against
-one pattern, so the replayed slice is tiny compared to the circuit.  Cone
-restrictions are cached per schedule, keyed by the identity of the
-(read-only, memoized) cone list the dictionary builder passes, so the
-steady-state replay does no set building and no per-edge scans at all.
-A replay whose extra delay sits only on non-candidate pins of the pattern
-(edges missing from the schedule) cannot change a settle time, so it
-returns the base result without touching a cone at all.
+Cone-restricted replay filters a pattern schedule down to a suspect's
+fanout cone and evaluates it into a small ``(n_recomputed, width)``
+overlay on top of the base result; the replayed slice is tiny compared to
+the circuit.  One routine, :meth:`PatternSchedule.restrict`, builds the
+slices of one cone or of many: each cone is a *copy* with its own overlay
+rows, and the copies' groups are laid out plan by plan, so one fused
+reduction per plan replays every copy.  The plain dictionary builder
+replays all live suspects of a pattern that way in one pass
+(:func:`replay_cones_compiled`): a suspect's cone is ~12 edges over ~6
+levels, so a per-suspect replay is bound by per-call numpy overhead, not
+arithmetic.  The one-copy case (:meth:`PatternSchedule.cone_for`) serves
+:func:`resimulate_with_extra_compiled` and the sampled path's
+:func:`replay_cone_sizes_compiled`, which replay one cone many times; it
+is cached per schedule, keyed by the identity of the (read-only,
+memoized) cone list the caller passes.  A replay whose extra delay sits
+only on non-candidate pins of the pattern (edges missing from the
+schedule) cannot change a settle time, so it reads the base result
+without touching a cone at all.
 
 Bit-identity with the reference kernel is a hard contract
 (``tests/test_kernel.py``): min/max reductions are exact selections, and
@@ -71,6 +78,7 @@ __all__ = [
     "compile_circuit",
     "simulate_transition_compiled",
     "resimulate_with_extra_compiled",
+    "replay_cones_compiled",
     "replay_cone_sizes_compiled",
     "SCHEDULE_CACHE_ENV",
     "CONE_CACHE_ENV",
@@ -237,35 +245,67 @@ class _GroupPlan:
 
 
 class _ConeSchedule:
-    """A pattern schedule filtered to one fanout cone.
+    """A pattern schedule filtered to one or more fanout cones.
 
-    ``steps`` holds per-level tuples
+    Each cone is a *copy*: copy ``c`` recomputes the transitioning gates of
+    its own cone into its own overlay rows, reading its own recomputed
+    drivers, so copies that overlap never see each other's rows.  Kept
+    (copy, group) pairs are ordered by (plan, min-before-max, copy, group):
+    one step per plan reduces every copy's groups at once, with one
+    negation prefix covering all of their min groups.  With one copy that
+    order is the plain group (replay) order.
+
+    ``steps`` holds per-plan tuples
     ``(lo, hi, starts, inside_pos, inside_src, out_lo, out_hi, neg_rows,
-    neg_groups)``: ``lo:hi`` slices the cone-wide ``edges``/``sources``
-    concatenation, ``inside_pos`` marks candidate rows whose driver was
-    itself recomputed (at a lower level) and must be re-summed from the
-    overlay rows in ``inside_src``, ``out_lo:out_hi`` is the (contiguous,
-    in replay order) overlay destination, and the leading ``neg_rows``
-    rows / ``neg_groups`` groups are the fused min reductions (see
-    :class:`_GroupPlan`).
+    neg_groups)``: ``lo:hi`` slices the concatenated ``edges``/``sources``,
+    ``inside_pos`` marks candidate rows whose driver was itself recomputed
+    in the same copy (at a lower level) and must be re-summed from the
+    overlay rows in ``inside_src``, ``out_lo:out_hi`` is the (contiguous)
+    overlay destination, and the leading ``neg_rows`` rows /
+    ``neg_groups`` groups are the fused min reductions (see
+    :class:`_GroupPlan`).  The copy tables ``edge_copy`` (the copy of
+    every edge row) and ``overlay_of`` (``overlay_of[c, r]`` is copy
+    ``c``'s overlay row for compact row ``r``, -1 when the copy does not
+    recompute it) are ``None`` on the one-copy slices
+    :meth:`PatternSchedule.cone_for` caches.
     """
 
-    __slots__ = ("edges", "sources", "steps", "n_overlay", "overlay_rows",
+    __slots__ = ("edges", "sources", "edge_copy", "steps", "n_overlay",
+                 "overlay_of", "out_rows", "net_names", "_overlay_rows",
                  "_edge_pos")
 
-    def __init__(self, edges, sources, steps, n_overlay, overlay_rows):
+    def __init__(self, edges, sources, edge_copy, steps, overlay_of,
+                 out_rows, net_names):
         self.edges = edges
         self.sources = sources
+        self.edge_copy = edge_copy
         self.steps = steps
-        self.n_overlay = n_overlay
-        #: net name -> overlay row, for the recomputed transitioning gates.
-        self.overlay_rows = overlay_rows
+        self.n_overlay = len(out_rows)
+        self.overlay_of = overlay_of
+        #: net row of every overlay row.
+        self.out_rows = out_rows
+        self.net_names = net_names
+        self._overlay_rows: Optional[Dict[str, int]] = None
         self._edge_pos: Optional[Dict[int, int]] = None
 
     @property
+    def overlay_rows(self) -> Dict[str, int]:
+        """Net name -> overlay row of a one-copy restriction (built on
+        first use)."""
+        rows = self._overlay_rows
+        if rows is None:
+            names = self.net_names
+            rows = self._overlay_rows = {
+                names[int(row)]: index
+                for index, row in enumerate(self.out_rows)
+            }
+        return rows
+
+    @property
     def edge_pos(self) -> Dict[int, int]:
-        """Edge index -> row in ``edges`` (built on first use; an edge is
-        one (sink, pin) pair so it appears at most once per cone)."""
+        """Edge index -> row in ``edges`` of a one-copy restriction (built
+        on first use; an edge is one (sink, pin) pair so it appears at most
+        once per cone)."""
         pos = self._edge_pos
         if pos is None:
             pos = self._edge_pos = {
@@ -295,9 +335,8 @@ class PatternSchedule:
 
     __slots__ = ("compiled", "values", "transitions",
                  "n_net_transitions", "plans", "compact_rows", "all_edges",
-                 "all_sources", "group_out", "group_plan", "group_start",
-                 "group_len", "group_neg", "_edge_pos", "_cone_cache",
-                 "_cone_cap")
+                 "all_sources", "group_out", "group_seg", "group_start",
+                 "group_len", "_edge_pos", "_cone_cache", "_cone_cap")
 
     def __init__(self, compiled, values, plans, compact_rows):
         self.compiled = compiled
@@ -318,16 +357,14 @@ class PatternSchedule:
             # Flat group table across all plans, for one-pass cone
             # restriction: group g is gate ``group_out[g]``, its candidate
             # edges sit at ``group_start[g] : +group_len[g]`` in
-            # ``all_edges``, it belongs to ``plans[group_plan[g]]`` and is
-            # a fused-min group iff ``group_neg[g]``.
+            # ``all_edges``, and ``group_seg[g]`` is ``2 * plan`` for a
+            # fused-min group of ``plans[plan]``, ``2 * plan + 1`` for a
+            # max group (non-decreasing in g).
             self.group_out = np.concatenate([p.out_rows for p in plans])
-            self.group_plan = np.concatenate([
-                np.full(len(p.out_rows), i, dtype=np.int64)
+            self.group_seg = np.concatenate([
+                2 * i + (np.arange(len(p.out_rows), dtype=np.int64)
+                         >= p.neg_groups)
                 for i, p in enumerate(plans)
-            ])
-            self.group_neg = np.concatenate([
-                np.arange(len(p.out_rows), dtype=np.int64) < p.neg_groups
-                for p in plans
             ])
             starts = []
             lens = []
@@ -343,10 +380,9 @@ class PatternSchedule:
             self.all_edges = empty
             self.all_sources = empty
             self.group_out = empty
-            self.group_plan = empty
+            self.group_seg = empty
             self.group_start = empty
             self.group_len = empty
-            self.group_neg = np.empty(0, dtype=bool)
         self._edge_pos: Optional[Dict[int, int]] = None
         self._cone_cache: "OrderedDict" = OrderedDict()
         self._cone_cap = _cache_cap(CONE_CACHE_ENV, _CONE_CACHE_DEFAULT)
@@ -380,8 +416,9 @@ class PatternSchedule:
     def cone_for(self, affected: Iterable[str]) -> _ConeSchedule:
         """The schedule slice recomputing (at most) ``affected``, cached.
 
-        Keyed by the identity of ``affected`` when it is reused verbatim
-        across calls — the dictionary builder passes the memoized
+        The one-copy case of :meth:`restrict`, keyed by the identity of
+        ``affected`` when it is reused verbatim across calls — the
+        sampled dictionary path passes the memoized
         ``Circuit.fanout_cone`` list for every (suspect, pattern) pair, so
         the steady state is one dict probe.  The cache holds a strong
         reference to the keyed object (no id recycling); callers must
@@ -396,7 +433,10 @@ class PatternSchedule:
             if recorder.enabled:
                 recorder.count("kernel.cone_reuse")
             return entry[1]
-        cone = self._restrict(affected)
+        cone = self.restrict([affected])
+        # Cached slices are read by name (``overlay_rows``/``edge_pos``);
+        # the dense copy tables would only grow the LRU.
+        cone.edge_copy = cone.overlay_of = None
         cache[key] = (affected, cone)
         if len(cache) > self._cone_cap:
             cache.popitem(last=False)
@@ -404,51 +444,66 @@ class PatternSchedule:
             recorder.count("kernel.cone_schedules")
         return cone
 
-    def _restrict(self, affected) -> _ConeSchedule:
+    def restrict(self, cones: Sequence[Sequence[str]]) -> _ConeSchedule:
+        """The schedule slices recomputing each of ``cones``, one copy per
+        cone, in one vectorized pass (see :class:`_ConeSchedule`)."""
         compiled = self.compiled
         net_rows = compiled.net_rows
         n_groups = self.n_groups
-        # A transitioning gate's compact row is its group index, so the
-        # kept groups are the affected nets' compact rows below the zero
-        # row; a mask over the groups sorts them into replay order.
-        rows = np.fromiter((net_rows[net] for net in affected), dtype=np.int64)
-        kept = np.zeros(n_groups + 1, dtype=bool)
-        kept[self.compact_rows[rows]] = True
-        keep = np.flatnonzero(kept[:n_groups])
+        n_copies = len(cones)
+        sizes = [len(cone) for cone in cones]
+        # A transitioning gate's compact row is its group index, so a
+        # copy's kept groups are its nets' compact rows below the zero row.
+        rows = np.fromiter(
+            (net_rows[net] for cone in cones for net in cone),
+            dtype=np.int64, count=sum(sizes),
+        )
+        kept = np.zeros((n_copies, n_groups + 1), dtype=bool)
+        kept[np.repeat(np.arange(n_copies), sizes),
+             self.compact_rows[rows]] = True
+        copy, group = np.nonzero(kept[:, :n_groups])
+        # (copy, group) order -> (plan, min-before-max, copy, group) order;
+        # with one copy the segment ids are already non-decreasing.
+        order = np.argsort(self.group_seg[group], kind="stable")
+        copy = copy[order]
+        group = group[order]
         empty = np.empty(0, dtype=np.int64)
-        if not keep.size:
-            return _ConeSchedule(empty, empty, [], 0, {})
-        out_rows = self.group_out[keep]
-        # Compact row -> overlay row.  Groups keep their replay order, so a
-        # recomputed source (strictly lower level) is always assigned
-        # before any group that reads it — a single global pass suffices.
-        overlay_of = np.full(n_groups + 1, -1, dtype=np.int64)
-        overlay_of[keep] = np.arange(len(keep), dtype=np.int64)
-        lens = self.group_len[keep]
-        new_starts = np.zeros(len(keep), dtype=np.int64)
+        overlay_of = np.full((n_copies, n_groups + 1), -1, dtype=np.int64)
+        if not group.size:
+            return _ConeSchedule(empty, empty, empty, [], overlay_of, empty,
+                                 compiled.net_names)
+        n_kept = len(group)
+        # (copy, compact row) -> overlay row.  Each copy's groups keep
+        # their replay order, so a recomputed source (strictly lower level,
+        # hence an earlier plan) is always assigned before any group that
+        # reads it — a single global pass suffices.
+        overlay_of[copy, group] = np.arange(n_kept, dtype=np.int64)
+        lens = self.group_len[group]
+        new_starts = np.zeros(n_kept, dtype=np.int64)
         np.cumsum(lens[:-1], out=new_starts[1:])
         # Vectorized gather of the kept groups' edge segments: output
-        # position new_starts[g] + j must read global position
-        # group_start[g] + j.
-        take = np.repeat(self.group_start[keep] - new_starts, lens)
+        # position new_starts[k] + j must read global position
+        # group_start[group[k]] + j.
+        take = np.repeat(self.group_start[group] - new_starts, lens)
         take += np.arange(len(take), dtype=np.int64)
         edges = self.all_edges[take]
         sources = self.all_sources[take]
-        inside_all = np.flatnonzero(overlay_of[sources] >= 0)
-        inside_src_all = overlay_of[sources[inside_all]]
+        edge_copy = np.repeat(copy, lens)
+        source_overlay = overlay_of[edge_copy, sources]
+        inside_all = np.flatnonzero(source_overlay >= 0)
+        inside_src_all = source_overlay[inside_all]
 
-        # Split the kept groups back into steps wherever the owning plan
-        # changes (plan ids are non-decreasing in group order).  Within a
-        # fused plan min groups precede max groups, so the kept subset
-        # keeps that layout; running counts of min groups/rows give each
-        # step its negation boundary.
-        plan_ids = self.group_plan[keep]
-        neg_flags = self.group_neg[keep]
+        # Split the kept pairs into steps wherever the owning plan changes.
+        # Within a plan every copy's min groups precede every max group;
+        # running counts of min groups/rows give each step its negation
+        # boundary.
+        seg = self.group_seg[group]
+        neg_flags = (seg & 1) == 0
         neg_group_cum = np.concatenate(([0], np.cumsum(neg_flags)))
         neg_row_cum = np.concatenate(([0], np.cumsum(lens * neg_flags)))
-        bounds = np.flatnonzero(np.diff(plan_ids)) + 1
+        bounds = np.flatnonzero(np.diff(seg >> 1)) + 1
         seg_lo = np.concatenate(([0], bounds))
-        seg_hi = np.concatenate((bounds, [len(keep)]))
+        seg_hi = np.concatenate((bounds, [n_kept]))
         steps = []
         for s, e in zip(seg_lo, seg_hi):
             lo = int(new_starts[s])
@@ -471,11 +526,8 @@ class PatternSchedule:
                 int(neg_row_cum[e] - neg_row_cum[s]),
                 int(neg_group_cum[e] - neg_group_cum[s]),
             ))
-        names = compiled.net_names
-        overlay_rows = {
-            names[int(row)]: index for index, row in enumerate(out_rows)
-        }
-        return _ConeSchedule(edges, sources, steps, len(keep), overlay_rows)
+        return _ConeSchedule(edges, sources, edge_copy, steps, overlay_of,
+                             self.group_out[group], compiled.net_names)
 
     # ------------------------------------------------------------------
     def __getstate__(self):
@@ -743,6 +795,51 @@ def simulate_transition_compiled(
     )
 
 
+def _replay_steps(cone: _ConeSchedule, rows: np.ndarray, dl: np.ndarray,
+                  overlay: np.ndarray) -> None:
+    """Reduce ``rows`` (``base[source] + dl`` for every cone edge) into
+    ``overlay``, one fused ``np.maximum.reduceat`` per step.
+
+    Rows whose driver is recomputed get re-summed from the overlay inside
+    the loop, once that overlay row exists (drivers sit at strictly lower
+    levels, i.e. in earlier steps).
+    """
+    for (lo, hi, starts, inside_pos, inside_src, out_lo, out_hi,
+            neg_rows, neg_groups) in cone.steps:
+        if inside_pos is not None:
+            rows[inside_pos] = overlay[inside_src] + dl[inside_pos]
+        if neg_rows:
+            seg = rows[lo : lo + neg_rows]
+            np.negative(seg, out=seg)
+        np.maximum.reduceat(
+            rows[lo:hi], starts, axis=0, out=overlay[out_lo:out_hi]
+        )
+        if neg_groups:
+            seg = overlay[out_lo : out_lo + neg_groups]
+            np.negative(seg, out=seg)
+
+
+def _replay_delays(base: TransitionSimResult) -> np.ndarray:
+    """The delay rows a replay of ``base`` reads (its sample slice)."""
+    delays = base.timing.delays
+    if base.sample_index is None:
+        return delays
+    return delays[:, base.sample_index : base.sample_index + 1]
+
+
+def _compiled_parts(
+    base: TransitionSimResult,
+) -> Tuple[PatternSchedule, StableTimes]:
+    """``base``'s schedule and compact settle matrix, type-checked."""
+    schedule = base.kernel_state
+    if not isinstance(schedule, PatternSchedule):
+        raise TypeError("base result does not carry a compiled-kernel schedule")
+    base_stable = base.stable
+    if not isinstance(base_stable, StableTimes):
+        raise TypeError("compiled re-simulation requires a compiled base result")
+    return schedule, base_stable
+
+
 def resimulate_with_extra_compiled(
     base: TransitionSimResult,
     extra_delay: ExtraDelay,
@@ -750,9 +847,7 @@ def resimulate_with_extra_compiled(
 ) -> TransitionSimResult:
     """Cone-restricted schedule replay behind
     :func:`repro.timing.dynamic.resimulate_with_extra` (bit-identical)."""
-    schedule = base.kernel_state
-    if not isinstance(schedule, PatternSchedule):
-        raise TypeError("base result does not carry a compiled-kernel schedule")
+    schedule, base_stable = _compiled_parts(base)
     recorder = obs.get_recorder()
     # Extra delay on a pin that is not a candidate of its gate's reduction
     # never enters the schedule (nor the reference ``_gate_settle_time``),
@@ -784,44 +879,19 @@ def resimulate_with_extra_compiled(
         recorder.count("dynamic.nets_recomputed", len(affected))
 
     cone = schedule.cone_for(affected)
-    delays = (
-        timing.delays
-        if base.sample_index is None
-        else timing.delays[:, base.sample_index : base.sample_index + 1]
-    )
-    base_stable = base.stable
-    if not isinstance(base_stable, StableTimes):
-        raise TypeError("compiled re-simulation requires a compiled base result")
-    base_matrix = base_stable.matrix
-
     overlay = np.empty((cone.n_overlay, base.width))
     if cone.steps:
-        dl = delays[cone.edges]
+        dl = _replay_delays(base)[cone.edges]
         if extra_delay:
             edge_pos = cone.edge_pos
             for edge_index, value in extra_delay.items():
                 pos = edge_pos.get(int(edge_index))
                 if pos is not None:
                     dl[pos] = dl[pos] + np.asarray(value)
-        # Candidate rows for the whole cone in one shot; rows whose driver
-        # is recomputed get re-summed from the overlay inside the step
-        # loop, once that overlay row exists (drivers sit at strictly
-        # lower levels, i.e. in earlier steps).
-        rows = base_matrix[cone.sources]
+        # Candidate rows for the whole cone in one shot.
+        rows = base_stable.matrix[cone.sources]
         rows += dl
-        for (lo, hi, starts, inside_pos, inside_src, out_lo, out_hi,
-                neg_rows, neg_groups) in cone.steps:
-            if inside_pos is not None:
-                rows[inside_pos] = overlay[inside_src] + dl[inside_pos]
-            if neg_rows:
-                seg = rows[lo : lo + neg_rows]
-                np.negative(seg, out=seg)
-            np.maximum.reduceat(
-                rows[lo:hi], starts, axis=0, out=overlay[out_lo:out_hi]
-            )
-            if neg_groups:
-                seg = overlay[out_lo : out_lo + neg_groups]
-                np.negative(seg, out=seg)
+        _replay_steps(cone, rows, dl, overlay)
         if recorder.enabled:
             recorder.count("kernel.reductions", len(cone.edges))
 
@@ -839,6 +909,84 @@ def resimulate_with_extra_compiled(
         base.width,
         base.sample_index,
     )
+
+
+def replay_cones_compiled(
+    base: TransitionSimResult,
+    edge_indices: Sequence[int],
+    sizes: np.ndarray,
+    cones: Sequence[Sequence[str]],
+    nets: Sequence[Sequence[str]],
+) -> np.ndarray:
+    """One pattern's replays for many suspect edges, in one pass.
+
+    Copy ``c`` adds ``sizes`` to edge ``edge_indices[c]`` and recomputes
+    ``cones[c]``.  Returns the settle rows of every ``nets[c]``, stacked
+    in copy order into one ``(sum(len(nets[c])), width)`` array.  Every
+    copy is restricted in one :meth:`PatternSchedule.restrict` call and
+    all of them replay in one level-ordered pass, so the per-call numpy
+    overhead is paid per plan instead of per (copy, plan).  Each overlay
+    entry is the same reduction over the same ``base[source] + (delay +
+    sizes)`` operands, in the same order, as
+    :func:`resimulate_with_extra_compiled` computes for that copy alone,
+    so the rows are bit-identical to the per-copy loop, and so are the
+    per-copy counters.
+    """
+    schedule, base_stable = _compiled_parts(base)
+    base_matrix = base_stable.matrix
+    net_rows = schedule.compiled.net_rows
+    counts = [len(group) for group in nets]
+    # Compact row of every requested (copy, net) entry, copy-major; every
+    # entry starts from its base row and recomputed ones are overwritten.
+    entry_rows = schedule.compact_rows[np.fromiter(
+        (net_rows[net] for group in nets for net in group),
+        dtype=np.int64, count=sum(counts),
+    )]
+    out = base_matrix[entry_rows]
+    # A copy whose edge is not a candidate pin replays to the base rows
+    # (see resimulate_with_extra_compiled); so does an empty cone.
+    edge_pos = schedule.edge_pos
+    candidate = [int(edge) in edge_pos for edge in edge_indices]
+    replayed = [
+        c for c, is_candidate in enumerate(candidate)
+        if is_candidate and len(cones[c])
+    ]
+    recorder = obs.get_recorder()
+    if recorder.enabled:
+        skipped = candidate.count(False)
+        if skipped:
+            recorder.count("kernel.replays_skipped", skipped)
+        if replayed:
+            recorder.count("dynamic.resimulations", len(replayed))
+            recorder.count(
+                "dynamic.nets_recomputed",
+                sum(len(cones[c]) for c in replayed),
+            )
+            recorder.count("kernel.cone_schedules", len(replayed))
+    if not replayed:
+        return out
+    cone = schedule.restrict([cones[c] for c in replayed])
+    if not cone.steps:
+        return out
+    dl = _replay_delays(base)[cone.edges]
+    # Each copy's own suspect edge takes the extra delay, in that copy only.
+    replayed_edges = np.asarray(edge_indices, dtype=np.int64)[replayed]
+    hit = np.flatnonzero(cone.edges == replayed_edges[cone.edge_copy])
+    dl[hit] = dl[hit] + np.asarray(sizes)
+    rows = base_matrix[cone.sources]
+    rows += dl
+    overlay = np.empty((cone.n_overlay, base.width))
+    _replay_steps(cone, rows, dl, overlay)
+    if recorder.enabled:
+        recorder.count("kernel.reductions", len(cone.edges))
+    slot = np.full(len(edge_indices), -1, dtype=np.int64)
+    slot[replayed] = np.arange(len(replayed), dtype=np.int64)
+    entry_slot = np.repeat(slot, counts)
+    entries = np.flatnonzero(entry_slot >= 0)
+    overlay_rows = cone.overlay_of[entry_slot[entries], entry_rows[entries]]
+    recomputed = overlay_rows >= 0
+    out[entries[recomputed]] = overlay[overlay_rows[recomputed]]
+    return out
 
 
 def replay_cone_sizes_compiled(
@@ -859,10 +1007,7 @@ def replay_cone_sizes_compiled(
     :func:`resimulate_with_extra_compiled` once per vector and stacking
     ``stable.take_rows(nets)``.
     """
-    schedule = base.kernel_state
-    if not isinstance(schedule, PatternSchedule):
-        raise TypeError("base result does not carry a compiled-kernel schedule")
-    timing = base.timing
+    schedule, base_stable = _compiled_parts(base)
     if not hasattr(affected, "__len__"):
         affected = set(affected)
     nets = list(nets)
@@ -871,9 +1016,6 @@ def replay_cone_sizes_compiled(
     if not affected or not size_vectors:
         return out
 
-    base_stable = base.stable
-    if not isinstance(base_stable, StableTimes):
-        raise TypeError("compiled re-simulation requires a compiled base result")
     recorder = obs.get_recorder()
     if schedule.edge_pos.get(int(edge_index)) is None:
         # Not a candidate pin under this pattern: every vector replays to
@@ -899,12 +1041,7 @@ def replay_cone_sizes_compiled(
             out[:] = np.stack([base_stable[net] for net in nets])
         return out
 
-    delays = (
-        timing.delays
-        if base.sample_index is None
-        else timing.delays[:, base.sample_index : base.sample_index + 1]
-    )
-    dl0 = delays[cone.edges]
+    dl0 = _replay_delays(base)[cone.edges]
     src0 = base_stable.matrix[cone.sources]
     pos = cone.edge_pos.get(int(edge_index))
     overlay = np.empty((cone.n_overlay, base.width))
@@ -919,19 +1056,7 @@ def replay_cone_sizes_compiled(
             dl = dl0.copy()
             dl[pos] = dl0[pos] + np.asarray(sizes)
         rows = src0 + dl
-        for (lo, hi, starts, inside_pos, inside_src, out_lo, out_hi,
-                neg_rows, neg_groups) in cone.steps:
-            if inside_pos is not None:
-                rows[inside_pos] = overlay[inside_src] + dl[inside_pos]
-            if neg_rows:
-                seg = rows[lo : lo + neg_rows]
-                np.negative(seg, out=seg)
-            np.maximum.reduceat(
-                rows[lo:hi], starts, axis=0, out=overlay[out_lo:out_hi]
-            )
-            if neg_groups:
-                seg = overlay[out_lo : out_lo + neg_groups]
-                np.negative(seg, out=seg)
+        _replay_steps(cone, rows, dl, overlay)
         for column, (net, row) in enumerate(zip(nets, row_index)):
             out[vector, column] = (
                 overlay[row] if row is not None else base_rows[net]

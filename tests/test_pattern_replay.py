@@ -1,0 +1,318 @@
+"""Per-pattern cone replay: every suspect of one pattern in one pass.
+
+Plain dictionary builds restrict and replay all live suspects of a
+pattern column at once (:func:`repro.timing.dynamic.replay_cones`).  These
+tests pin that batch to the per-(suspect, pattern) loop it replaced —
+byte for byte, signed zeros included, and counter for counter — and pin
+the n-cone restriction to n one-cone restrictions.
+"""
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro.atpg import generate_path_tests
+from repro.circuits import load_benchmark
+from repro.core import ParallelConfig, build_multi_clock_dictionary
+from repro.core.dictionary import (
+    _output_thresholds,
+    _sink_plans,
+    _transition_matrix,
+)
+from repro.defects import SingleDefectModel
+from repro.timing import (
+    CircuitTiming,
+    SampleSpace,
+    diagnosis_clock,
+    simulate_pattern_set,
+    simulate_transition,
+)
+from repro.timing.dynamic import replay_cones, resimulate_with_extra
+
+#: Counters the batch must keep per copy.
+COUNTERS = (
+    "dynamic.resimulations",
+    "dynamic.nets_recomputed",
+    "kernel.replays_skipped",
+    "kernel.reductions",
+)
+
+
+def _rows(stable, nets):
+    take = getattr(stable, "take_rows", None)
+    if take is not None:
+        return take(nets)
+    return np.stack([stable[net] for net in nets])
+
+
+def _loop_signatures(timing, sims, clocks, suspects, sizes):
+    """One ``resimulate_with_extra`` per (suspect, live pattern) over the
+    builder's own activity plans, thresholded per clock — the plain chunk
+    body before per-pattern batching."""
+    circuit = timing.circuit
+    n_patterns = len(sims)
+    transitioned = _transition_matrix(circuit, sims)
+    m_crt, live = _output_thresholds(
+        circuit, sims, transitioned, tuple(clocks), sizes
+    )
+    plans = _sink_plans(
+        circuit, transitioned, live, {edge.sink for edge in suspects}
+    )
+    signatures = []
+    for edge in suspects:
+        cone, activity = plans[edge.sink]
+        signature = np.zeros(m_crt.shape)
+        for column, rows, nets in activity:
+            stacked = _rows(
+                resimulate_with_extra(
+                    sims[column], {timing.edge_index[edge]: sizes},
+                    affected=cone,
+                ).stable,
+                nets,
+            )
+            for block, clk in enumerate(clocks):
+                col = block * n_patterns + column
+                errs = (stacked > clk).mean(axis=1)
+                signature[rows, col] = errs - m_crt[rows, col]
+        signatures.append(signature)
+    return np.stack(signatures)
+
+
+def _chip_inputs(name, seed):
+    """A Section I chip's inputs: site patterns, base runs, two clocks and
+    every pin of every fifth gate as suspects (so sinks are shared)."""
+    circuit = load_benchmark(name, seed=0)
+    timing = CircuitTiming(circuit, SampleSpace(n_samples=64, seed=seed))
+    model = SingleDefectModel(timing)
+    rng = np.random.default_rng(seed)
+    for _attempt in range(10):
+        defect = model.draw(rng)
+        patterns, _ = generate_path_tests(
+            timing, defect.edge, n_paths=6, rng_seed=seed
+        )
+        if len(patterns) >= 3:
+            break
+    else:
+        pytest.fail(f"no testable site on {name}")
+    sims = simulate_pattern_set(timing, list(patterns))
+    clk = diagnosis_clock(
+        timing, list(patterns), 0.85,
+        simulations=sims, targets=patterns.target_observations(),
+    )
+    index = circuit.topological_index
+    suspects = [
+        edge for edge in circuit.edges if index[edge.sink] % 5 == 0
+    ]
+    sizes = model.dictionary_size_variable().samples
+    return timing, list(patterns), sims, [clk, 0.9 * clk], suspects, sizes
+
+
+@pytest.fixture(scope="module", params=[("s1196", 3), ("s5378", 5)],
+                ids=["s1196", "s5378"])
+def chip(request):
+    name, seed = request.param
+    timing, patterns, sims, clocks, suspects, sizes = _chip_inputs(name, seed)
+    with obs.use_recorder(obs.Recorder()) as recorder:
+        expected = _loop_signatures(timing, sims, clocks, suspects, sizes)
+    counts = {name: recorder.counter_value(name) for name in COUNTERS}
+    return timing, patterns, sims, clocks, suspects, sizes, expected, counts
+
+
+def _build(chip, parallel=None):
+    timing, patterns, sims, clocks, suspects, sizes, _expected, _ = chip
+    return build_multi_clock_dictionary(
+        timing, patterns, clocks, suspects, sizes,
+        base_simulations=sims, parallel=parallel,
+    )
+
+
+class TestPlainDictionaryMatchesLoop:
+    def test_inputs_cover_the_batch_cases(self, chip):
+        timing, _patterns, sims, _clocks, suspects, _sizes, _e, counts = chip
+        sinks = [edge.sink for edge in suspects]
+        assert len(set(sinks)) < len(sinks)  # suspects share sinks
+        assert counts["kernel.replays_skipped"] > 0  # non-candidate pins
+        assert counts["dynamic.resimulations"] > 0
+        # Some column replays several suspects at once.
+        candidates = [
+            sum(timing.edge_index[edge] in sim.kernel_state.edge_pos
+                for edge in suspects)
+            for sim in sims
+        ]
+        assert max(candidates) > 1
+
+    def test_bytes_and_counters_equal(self, chip):
+        expected, counts = chip[6], chip[7]
+        with obs.use_recorder(obs.Recorder()) as recorder:
+            dictionary = _build(chip)
+        assert dictionary.signature_stack().tobytes() == expected.tobytes()
+        assert {
+            name: recorder.counter_value(name) for name in COUNTERS
+        } == counts
+
+    def test_chunking_splits_a_sink(self, chip):
+        suspects, expected = chip[4], chip[6]
+        chunk = 3
+        split = [
+            index for index in range(chunk, len(suspects), chunk)
+            if suspects[index - 1].sink == suspects[index].sink
+        ]
+        assert split, "no sink straddles a chunk boundary"
+        dictionary = _build(chip, ParallelConfig("serial", chunk_size=chunk))
+        assert dictionary.signature_stack().tobytes() == expected.tobytes()
+
+    def test_process_backend(self, chip):
+        dictionary = _build(
+            chip, ParallelConfig("process", n_workers=2, chunk_size=16)
+        )
+        assert dictionary.signature_stack().tobytes() == chip[6].tobytes()
+
+    def test_reference_kernel(self, chip, monkeypatch):
+        monkeypatch.setenv("REPRO_TIMING_KERNEL", "reference")
+        with obs.use_recorder(obs.Recorder()) as recorder:
+            dictionary = _build(chip)
+        assert dictionary.signature_stack().tobytes() == chip[6].tobytes()
+        # The reference replay has no candidate-pin shortcut or reductions;
+        # it replays the same (suspect, pattern) pairs.
+        assert recorder.counter_value("dynamic.resimulations") == (
+            chip[7]["dynamic.resimulations"]
+            + chip[7]["kernel.replays_skipped"]
+        )
+
+
+def _cones_and_copies(timing, sim):
+    """Copies over every edge of the circuit: shared sinks, repeated cones
+    and non-candidate pins, each asking for its cone's outputs + sink."""
+    circuit = timing.circuit
+    outputs = set(circuit.outputs)
+    edges, cones, nets = [], [], []
+    for index, edge in enumerate(circuit.edges):
+        cone = circuit.fanout_cone(edge.sink)
+        edges.append(index)
+        cones.append(cone)
+        nets.append([net for net in cone if net in outputs] + [edge.sink])
+    return edges, cones, nets
+
+
+class TestReplayCones:
+    @pytest.mark.parametrize("kernel", ["compiled", "reference"])
+    def test_rows_and_counters_equal_per_copy_loop(
+        self, small_timing, monkeypatch, kernel
+    ):
+        circuit = small_timing.circuit
+        rng = np.random.default_rng(4)
+        sizes = rng.normal(2.0, 1.0, small_timing.space.n_samples)
+        sims = [
+            simulate_transition(
+                small_timing,
+                rng.integers(0, 2, len(circuit.inputs)),
+                rng.integers(0, 2, len(circuit.inputs)),
+            )
+            for _ in range(4)
+        ]
+        monkeypatch.setenv("REPRO_TIMING_KERNEL", kernel)
+        for sim in sims:
+            edges, cones, nets = _cones_and_copies(small_timing, sim)
+            with obs.use_recorder(obs.Recorder()) as loop_recorder:
+                expected = np.concatenate([
+                    _rows(
+                        resimulate_with_extra(
+                            sim, {edge: sizes}, affected=cone
+                        ).stable,
+                        group,
+                    )
+                    for edge, cone, group in zip(edges, cones, nets)
+                ])
+            with obs.use_recorder(obs.Recorder()) as recorder:
+                got = replay_cones(sim, edges, sizes, cones, nets)
+            assert got.tobytes() == expected.tobytes()
+            for name in COUNTERS:
+                assert recorder.counter_value(name) == (
+                    loop_recorder.counter_value(name)
+                ), name
+
+    def test_no_copies(self, small_timing):
+        circuit = small_timing.circuit
+        sim = simulate_transition(
+            small_timing, [0] * len(circuit.inputs), [1] * len(circuit.inputs)
+        )
+        got = replay_cones(sim, [], np.zeros(100), [], [])
+        assert got.shape == (0, small_timing.space.n_samples)
+
+
+def _flatten(cone, copy):
+    """One copy of a restriction as comparable per-row tables: its overlay
+    rows' gates, min flags and edge segments, and per edge its index,
+    source and (copy-local) recomputed driver."""
+    copy_edges = np.flatnonzero(cone.edge_copy == copy)
+    overlay_rows = np.sort(cone.overlay_of[copy][cone.overlay_of[copy] >= 0])
+    local = {int(row): index for index, row in enumerate(overlay_rows)}
+    n_edges = len(cone.edges)
+    inside = np.full(n_edges, -1, dtype=np.int64)
+    group_start = np.empty(cone.n_overlay, dtype=np.int64)
+    is_min = np.zeros(cone.n_overlay, dtype=bool)
+    for (lo, _hi, starts, inside_pos, inside_src, out_lo, out_hi,
+            _neg_rows, neg_groups) in cone.steps:
+        if inside_pos is not None:
+            inside[inside_pos] = inside_src
+        group_start[out_lo:out_hi] = lo + starts
+        is_min[out_lo : out_lo + neg_groups] = True
+    group_end = np.append(group_start[1:], n_edges)
+    # Overlay rows of a copy's groups, and copy-local edge offsets.
+    offsets = np.cumsum(
+        [0] + [int(group_end[r] - group_start[r]) for r in overlay_rows]
+    )
+    return dict(
+        out_rows=cone.out_rows[overlay_rows].tolist(),
+        is_min=is_min[overlay_rows].tolist(),
+        segments=offsets.tolist(),
+        edges=cone.edges[copy_edges].tolist(),
+        sources=cone.sources[copy_edges].tolist(),
+        inside=[local.get(int(row), -1) for row in inside[copy_edges]],
+    )
+
+
+class TestRestriction:
+    def test_n_cones_equal_n_one_cone_restrictions(self, bench_timing):
+        circuit = bench_timing.circuit
+        rng = np.random.default_rng(9)
+        checked = 0
+        for _ in range(4):
+            sim = simulate_transition(
+                bench_timing,
+                rng.integers(0, 2, len(circuit.inputs)),
+                rng.integers(0, 2, len(circuit.inputs)),
+            )
+            schedule = sim.kernel_state
+            sinks = [
+                circuit.edges[int(edge)].sink
+                for edge in schedule.all_edges[::3]
+            ]
+            # A repeated cone and an empty one ride along.
+            cones = [circuit.fanout_cone(sink) for sink in sinks]
+            cones += [cones[0], []]
+            batch = schedule.restrict(cones)
+            for copy, cone in enumerate(cones):
+                single = schedule.restrict([cone])
+                assert _flatten(batch, copy) == _flatten(single, 0)
+                assert single.out_rows.tolist() == [
+                    circuit.topological_index[net]
+                    for net in single.overlay_rows
+                ]
+                checked += bool(single.n_overlay)
+        assert checked > 8
+
+    def test_cone_for_is_the_cached_one_copy_case(self, small_timing):
+        circuit = small_timing.circuit
+        sim = simulate_transition(
+            small_timing, [0] * len(circuit.inputs), [1] * len(circuit.inputs)
+        )
+        schedule = sim.kernel_state
+        cone = circuit.fanout_cone(circuit.edges[int(schedule.all_edges[0])].sink)
+        cached = schedule.cone_for(cone)
+        assert schedule.cone_for(cone) is cached
+        fresh = schedule.restrict([cone])
+        assert cached.edges.tolist() == fresh.edges.tolist()
+        assert cached.sources.tolist() == fresh.sources.tolist()
+        assert cached.overlay_rows == fresh.overlay_rows
+        assert cached.edge_pos == fresh.edge_pos
