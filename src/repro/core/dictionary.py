@@ -35,7 +35,9 @@ preserving bit-exact results):
   (:func:`repro.timing.dynamic.replay_cones`) and all of their entries
   are thresholded at once per clock.  Each entry is the same reduction
   over the same operands, then the same exact count over the same width,
-  as a replay of that suspect alone,
+  as a replay of that suspect alone.  A sampled build does the same per
+  allocation round: its cells advance in lockstep, so one pass per
+  column replays the next round of every cell still sampling,
 * **parallel fan-out** — suspects are independent, so signature chunks
   fan out across worker processes (:mod:`repro.core.parallel`); results
   reassemble in suspect order, making parallel builds bit-identical to
@@ -57,6 +59,7 @@ installed every hook is a no-op and the build is bit-identical either way.
 
 from __future__ import annotations
 
+import mmap
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -65,10 +68,11 @@ import numpy as np
 
 from ..circuits.netlist import Circuit, Edge
 from ..timing.critical import simulate_pattern_set
-from ..timing.dynamic import TransitionSimResult, replay_cones, replay_sizes
+from ..timing.dynamic import TransitionSimResult, prepare_cones, replay_cones
 from ..timing.instance import CircuitTiming
 from ..atpg.patterns import PatternPairSet
 from ..sampling import (
+    AllocationReport,
     CellAllocator,
     SamplerConfig,
     SizeDistribution,
@@ -238,13 +242,7 @@ def _output_thresholds(
         rows = np.flatnonzero(live[column])
         if not rows.size:
             continue
-        nets = [outputs[row] for row in rows]
-        stable = sim.stable
-        take = getattr(stable, "take_rows", None)
-        settles = (
-            take(nets) if take is not None
-            else np.stack([stable[net] for net in nets])
-        )
+        settles = sim.settle_rows([outputs[row] for row in rows])
         if recorder.enabled:
             recorder.observe("dynamic.settle", settles.ravel())
         if size_samples is not None:
@@ -342,10 +340,7 @@ def _signatures_for_chunk(
     n_patterns = len(job.base_simulations)
     plans = [job.plan_by_sink[job.suspects[index].sink] for index in indices]
     live = [k for k, (_cone, activity) in enumerate(plans) if activity]
-    # Live suspects' signatures are views of one lazily-zeroed block: the
-    # per-suspect cost is a view instead of an allocate-and-memset of a
-    # matrix whose cells are mostly never written.
-    stack = np.zeros((len(live),) + job.m_crt.shape, dtype=job.m_crt.dtype)
+    stack = _signature_block(job, len(live))
     # Pattern column -> its copies: (slot, edge index, cone, rows, nets).
     copies: Dict[int, List[Tuple]] = {}
     for slot, k in enumerate(live):
@@ -368,23 +363,39 @@ def _signatures_for_chunk(
             stack[owners, out_rows, col] = (
                 (settles > clk).mean(axis=1) - job.m_crt[out_rows, col]
             )
-    results: List[np.ndarray] = []
-    shared_zero: Optional[np.ndarray] = None
-    slot = 0
-    for _cone, activity in plans:
-        if activity:
-            results.append(stack[slot])
-            slot += 1
-            continue
-        # No pattern toggles this sink: the signature is identically
-        # zero.  All such suspects in a chunk share one read-only matrix —
-        # a dictionary over every edge of a large circuit is mostly dead
-        # suspects, so this dominates allocation.
-        if shared_zero is None:
-            shared_zero = np.zeros(job.m_crt.shape, dtype=job.m_crt.dtype)
-            shared_zero.setflags(write=False)
-        results.append(shared_zero)
+    results = [_shared_zero(job)] * len(indices)
+    for slot, k in enumerate(live):
+        results[k] = stack[slot]
     return results
+
+
+def _signature_block(job: _SignatureJob, n_live: int) -> np.ndarray:
+    """A zeroed ``(n_live,) + m_crt.shape`` block for live signatures.
+
+    Live suspects' signatures are views of it: the per-suspect cost is a
+    view instead of an allocate-and-memset of a matrix whose cells are
+    mostly never written.  The block is an anonymous mapping, so a page
+    becomes resident only when written; numpy would advise huge pages for
+    a large block, and then one sparse write makes 2 MB resident.
+    """
+    shape = (n_live,) + job.m_crt.shape
+    size = int(np.prod(shape)) * job.m_crt.itemsize
+    if not size:
+        return np.zeros(shape, dtype=job.m_crt.dtype)
+    block = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(block, dtype=job.m_crt.dtype).reshape(shape)
+
+
+def _shared_zero(job: _SignatureJob) -> np.ndarray:
+    """The signature of every suspect of a chunk that no pattern toggles.
+
+    Such a signature is identically zero, so they all share one
+    read-only matrix — a dictionary over every edge of a large circuit
+    is mostly dead suspects, so this dominates allocation.
+    """
+    zero = np.zeros(job.m_crt.shape, dtype=job.m_crt.dtype)
+    zero.setflags(write=False)
+    return zero
 
 
 @dataclass
@@ -398,22 +409,39 @@ class _SampledSignatureJob:
     round_size: int
 
 
-@dataclass
-class _SampledSignature:
-    """One suspect's sampled signature plus its allocation accounting."""
+def _min_medians(
+    job: _SignatureJob, activities: Sequence[List[Tuple]]
+) -> List[float]:
+    """Each suspect's smallest median base settle over its tracked entries.
 
-    signature: np.ndarray
-    samples_spent: int
-    rounds: int
-    degenerate_rounds: int
-    min_ess_fraction: float
-    converged: bool
+    Clock-independent: the proposal shift for a clock targets the defect
+    size a median chip instance needs to push the cell's hardest entry
+    past it.  A row's median does not depend on the other rows, so one
+    ``np.median(axis=1)`` per pattern column, over every output row the
+    chunk tracks there, serves every suspect.
+    """
+    tracked: Dict[int, Dict[int, str]] = {}
+    for activity in activities:
+        for column, rows, nets in activity:
+            tracked.setdefault(column, {}).update(zip(rows.tolist(), nets))
+    medians: Dict[int, np.ndarray] = {}
+    for column, named in tracked.items():
+        medians[column] = np.empty(job.m_crt.shape[0])
+        medians[column][list(named)] = np.median(
+            job.base_simulations[column].settle_rows(list(named.values())),
+            axis=1,
+        )
+    return [
+        min(float(medians[column][rows].min()) for column, rows, _ in activity)
+        for activity in activities
+    ]
 
 
 def _sampled_signatures_for_chunk(
     sampled_job: _SampledSignatureJob, indices: Sequence[int]
-) -> List[_SampledSignature]:
-    """Importance-sampled signatures for one chunk of suspect indices.
+) -> List[Tuple[np.ndarray, List[AllocationReport]]]:
+    """Importance-sampled signatures for one chunk of suspect indices,
+    each with its cells' allocation reports in clock order.
 
     One :class:`~repro.sampling.CellAllocator` per (suspect, clock) cell
     group covers every entry the suspect can touch at that clock; all
@@ -422,128 +450,112 @@ def _sampled_signatures_for_chunk(
     ``size_samples``).  RNG streams are keyed by global suspect index,
     clock index and round, so chunking and backend never change a draw.
 
+    Per clock, the cells of all live suspects advance in lockstep: each
+    step, every active cell draws its next round, and per pattern column
+    the active cells that reach it are the copies of one
+    :func:`~repro.timing.dynamic.prepare_cones` replay, each with its own
+    sizes.  Each cell joins its parts in its own activity order, commits,
+    and leaves the active set once it stops.  A column's copies change
+    only when one of its cells stops, so its restriction is prepared once
+    per active set.  Every cell sees exactly the draws, replayed entries
+    and commits of a cell run alone, so lockstep never changes a bit.
+    Fixed-round ``is`` cells draw all their rounds up front with the
+    initial proposal: one step, one copy per round.
+
     Sampled signatures are clipped at 0: the plain path's structural
     invariant ``err >= crt`` holds per sample there, and projecting the
     noisy estimate onto that constraint only reduces its error.
     """
     job = sampled_job.job
     sampler = sampled_job.sampler
-    distribution = sampled_job.distribution
-    n_patterns = len(job.base_simulations)
-    fixed_rounds = sampler.is_rounds if sampler.mode == "is" else None
-    results: List[_SampledSignature] = []
-    shared_zero: Optional[np.ndarray] = None
-    for index in indices:
-        edge = job.suspects[index]
-        edge_index = job.edge_indices[index]
-        cone, activity = job.plan_by_sink[edge.sink]
-        if not activity:
-            if shared_zero is None:
-                shared_zero = np.zeros(job.m_crt.shape, dtype=job.m_crt.dtype)
-                shared_zero.setflags(write=False)
-            results.append(
-                _SampledSignature(shared_zero, 0, 0, 0, 1.0, True)
+    fixed = sampler.mode == "is"
+    per_step = sampler.is_rounds if fixed else 1
+    sinks = [job.plan_by_sink[job.suspects[index].sink] for index in indices]
+    live = [k for k, (_cone, activity) in enumerate(sinks) if activity]
+    activities = [sinks[k][1] for k in live]
+    min_medians = _min_medians(job, activities)
+    # Pattern column -> its live suspects: (slot, edge index, cone, nets).
+    # Ascending columns hand every cell its parts in activity order.
+    members: Dict[int, List[Tuple]] = {}
+    for slot, k in enumerate(live):
+        for column, _rows, nets in activities[slot]:
+            members.setdefault(column, []).append(
+                (slot, job.edge_indices[indices[k]], sinks[k][0], nets)
             )
-            continue
-        signature = np.zeros(job.m_crt.shape, dtype=job.m_crt.dtype)
-        # Median base settle per tracked entry (clock-independent): the
-        # proposal shift for a clock targets the defect size a median
-        # chip instance needs to push the cell's hardest entry past it.
-        median_settles: List[np.ndarray] = []
-        for column, _rows, nets in activity:
-            stable = job.base_simulations[column].stable
-            take = getattr(stable, "take_rows", None)
-            stacked = (
-                take(nets)
-                if take is not None
-                else np.stack([stable[net] for net in nets])
-            )
-            median_settles.append(np.median(stacked, axis=1))
-        min_median = min(float(row.min()) for row in median_settles)
-        n_entries = sum(len(rows) for _column, rows, _nets in activity)
-
-        samples_spent = 0
-        rounds = 0
-        degenerate_rounds = 0
-        min_ess = 1.0
-        converged = True
-        for clk_index, clk in enumerate(job.clks):
-            allocator = CellAllocator(
+    columns = sorted(members)
+    # Each cell's entries in its activity order: output rows, columns.
+    entries = [
+        (np.concatenate([rows for _c, rows, _n in activity]),
+         np.concatenate([[c] * len(rows) for c, rows, _n in activity]))
+        for activity in activities
+    ]
+    stack = _signature_block(job, len(live))
+    reports: List[List[AllocationReport]] = [[] for _ in live]
+    for clk_index, clk in enumerate(job.clks):
+        cells = [
+            CellAllocator(
                 sampler,
-                distribution,
-                clk - min_median,
+                sampled_job.distribution,
+                clk - min_medians[slot],
                 seed=sampled_job.seed,
-                suspect_index=index,
+                suspect_index=indices[k],
                 clk_index=clk_index,
-                n_entries=n_entries,
+                n_entries=len(entries[slot][0]),
                 round_size=sampled_job.round_size,
             )
-            if fixed_rounds is not None:
-                # Fixed-round IS: the proposal never changes mid-build,
-                # so all rounds draw upfront and each (pattern) cone
-                # replays the whole batch at once.
-                draws = [allocator.draw(r) for r in range(fixed_rounds)]
-                blocks = [
-                    replay_sizes(
-                        job.base_simulations[column],
-                        edge_index,
-                        [x for x, _w in draws],
-                        cone,
-                        nets,
+            for slot, k in enumerate(live)
+        ]
+        active = list(range(len(live)))
+        # Column -> (its active copies, their prepared replay), rebuilt
+        # only for the columns a stopped cell leaves.
+        replays: Dict[int, Tuple[List[Tuple], object]] = {}
+        while active:
+            alive = set(active)
+            for column in columns:
+                copies = [copy for copy in members[column] if copy[0] in alive]
+                if not copies:
+                    replays.pop(column, None)
+                elif len(replays.get(column, ((),))[0]) != len(copies):
+                    _slots, edges, cones, nets = (
+                        [item for item in field for _ in range(per_step)]
+                        for field in zip(*copies)
                     )
-                    for column, _rows, nets in activity
+                    replays[column] = (copies, prepare_cones(
+                        job.base_simulations[column], edges, cones, nets
+                    ))
+            draws = {
+                slot: [
+                    cells[slot].draw(cells[slot].rounds + r)
+                    for r in range(per_step)
                 ]
-                for round_index, (_x, weights) in enumerate(draws):
-                    allocator.commit(
-                        weights,
-                        np.concatenate(
-                            [block[round_index] > clk for block in blocks],
-                            axis=0,
-                        ),
-                    )
-            else:
-                while True:
-                    x, weights = allocator.draw(allocator.rounds)
-                    parts = [
-                        replay_sizes(
-                            job.base_simulations[column],
-                            edge_index,
-                            [x],
-                            cone,
-                            nets,
-                        )[0]
-                        > clk
-                        for column, _rows, nets in activity
-                    ]
-                    allocator.commit(weights, np.concatenate(parts, axis=0))
-                    if allocator.should_stop():
-                        break
-            estimates = allocator.estimates()
-            offset = 0
-            for column, rows, _nets in activity:
-                col = clk_index * n_patterns + column
-                signature[rows, col] = np.maximum(
-                    estimates[offset : offset + len(rows)]
-                    - job.m_crt[rows, col],
-                    0.0,
-                )
-                offset += len(rows)
-            report = allocator.report()
-            samples_spent += report.samples_spent
-            rounds += report.rounds
-            degenerate_rounds += report.degenerate_rounds
-            min_ess = min(min_ess, report.ess_fraction)
-            converged = converged and report.converged
-        results.append(
-            _SampledSignature(
-                signature,
-                samples_spent,
-                rounds,
-                degenerate_rounds,
-                min_ess,
-                converged,
+                for slot in active
+            }
+            parts = {slot: [[] for _ in range(per_step)] for slot in active}
+            for copies, prepared in replays.values():
+                late = prepared.replay(np.stack([
+                    x for copy in copies for x, _weights in draws[copy[0]]
+                ])) > clk
+                offset = 0
+                for slot, _edge, _cone, group in copies:
+                    for part in parts[slot]:
+                        part.append(late[offset : offset + len(group)])
+                        offset += len(group)
+            for slot in active:
+                for (_x, weights), part in zip(draws[slot], parts[slot]):
+                    cells[slot].commit(weights, np.concatenate(part, axis=0))
+            active = [] if fixed else [
+                slot for slot in active if not cells[slot].should_stop()
+            ]
+        for slot, cell in enumerate(cells):
+            rows, cols = entries[slot]
+            cols = clk_index * len(job.base_simulations) + cols
+            stack[slot, rows, cols] = np.maximum(
+                cell.estimates() - job.m_crt[rows, cols], 0.0
             )
-        )
+            reports[slot].append(cell.report())
+    results = [(_shared_zero(job), [])] * len(indices)
+    for slot, k in enumerate(live):
+        results[k] = (stack[slot], reports[slot])
     return results
 
 
@@ -702,24 +714,27 @@ def build_multi_clock_dictionary(
                     resolve_parallel(parallel),
                     work_per_item=n_patterns * timing.space.n_samples,
                 )
-            signature_list = [record.signature for record in records]
-            samples_per_suspect = [record.samples_spent for record in records]
+            signature_list = [signature for signature, _cells in records]
+            cells = [reports for _signature, reports in records]
+            every = [report for reports in cells for report in reports]
+            samples_per_suspect = [
+                sum(r.samples_spent for r in reports) for reports in cells
+            ]
             sampling_report = {
                 "mode": sampler_config.mode,
                 "round_size": timing.space.n_samples,
                 "samples_per_suspect": samples_per_suspect,
-                "rounds_per_suspect": [record.rounds for record in records],
+                "rounds_per_suspect": [
+                    sum(r.rounds for r in reports) for reports in cells
+                ],
                 "total_samples": int(sum(samples_per_suspect)),
                 "degenerate_rounds": int(
-                    sum(record.degenerate_rounds for record in records)
+                    sum(r.degenerate_rounds for r in every)
                 ),
                 "min_ess_fraction": float(
-                    min(
-                        (record.min_ess_fraction for record in records),
-                        default=1.0,
-                    )
+                    min([1.0] + [r.ess_fraction for r in every])
                 ),
-                "all_converged": all(record.converged for record in records),
+                "all_converged": all(r.converged for r in every),
             }
             if recorder.enabled:
                 recorder.count(

@@ -90,7 +90,7 @@ class ParallelConfig:
     """How to fan a per-item loop out.
 
     ``n_workers`` ``None`` means "one per available CPU"; ``chunk_size``
-    ``None`` means "split the items evenly, ~4 chunks per worker" (small
+    ``None`` means "one chunk when serial, else ~4 per worker" (small
     chunks balance load, large chunks amortize dispatch).
     """
 
@@ -162,10 +162,12 @@ def chunk_indices(
 ) -> List[range]:
     """Shard ``range(n_items)`` into contiguous chunks, order-preserving.
 
-    With ``chunk_size=None`` the items split into roughly ``4 * n_workers``
-    equal chunks — and, when the caller declares ``work_per_item`` (for
-    dictionary construction: patterns × samples per suspect), never into
-    chunks carrying less than :data:`MIN_CHUNK_WORK` work units, so
+    With ``chunk_size=None`` one worker takes all items in one chunk (a
+    dictionary chunk replays each pattern's suspects together); more
+    workers split them into roughly ``4 * n_workers`` equal chunks —
+    and, when the caller declares ``work_per_item`` (for dictionary
+    construction: patterns × samples per suspect), never into chunks
+    carrying less than :data:`MIN_CHUNK_WORK` work units, so
     small-granularity workloads produce few large chunks instead of many
     dispatch-dominated ones.  An explicit ``chunk_size`` always wins.
     Chunk sizes above ``n_items`` simply yield one chunk — callers may
@@ -173,7 +175,9 @@ def chunk_indices(
     """
     if n_items <= 0:
         return []
-    if chunk_size is None:
+    if chunk_size is None and n_workers <= 1:
+        chunk_size = n_items
+    elif chunk_size is None:
         chunk_size = max(1, -(-n_items // max(4 * n_workers, 1)))
         if work_per_item is not None and work_per_item > 0:
             work_floor = int(-(-MIN_CHUNK_WORK // work_per_item))

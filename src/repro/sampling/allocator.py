@@ -4,12 +4,15 @@ One :class:`CellAllocator` owns the sampling state for a single
 (suspect, clock) cell group — every dictionary entry that suspect can
 touch at that clock.  Rounds are fixed at the sample-space width (one
 defect size per materialized chip instance, so a round is exactly one
-cone re-simulation per active pattern), and the estimator is fed through
-:class:`repro.obs.convergence.ConvergenceStat`:
+cone re-simulation per active pattern), and the estimator keeps
+:class:`repro.obs.convergence.ConvergenceStat` moments:
 
-* each tracked entry's stat receives ``w * indicator`` under *unit*
-  weights — its running ``mean`` is then the unnormalized (exactly
-  unbiased) importance-sampling estimate and ``std_error`` its CI,
+* each tracked entry receives ``w * indicator`` under *unit* weights —
+  its running ``mean`` is then the unnormalized (exactly unbiased)
+  importance-sampling estimate and ``std_error`` its CI.  Entries share
+  the count, so ``mean`` and ``m2`` are two float arrays, merged once per
+  round by the Chan update a ``ConvergenceStat`` per entry would run
+  (same IEEE operations, same order per element),
 * a separate weight meter receives ``update(values=w, weights=w)`` —
   its ``ess`` is the effective sample size behind the degeneracy guard.
 
@@ -25,7 +28,6 @@ serial/thread/process backends replay identical streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List
 
 import numpy as np
 
@@ -79,9 +81,10 @@ class CellAllocator:
         self.proposal: MixtureProposal = boundary_proposal(
             distribution, gap, config, alpha=self.alpha
         )
-        self.entry_stats: List[ConvergenceStat] = [
-            ConvergenceStat() for _ in range(int(n_entries))
-        ]
+        #: Per-entry moments over ``n`` unit-weight draws.
+        self.mean = np.zeros(int(n_entries))
+        self.m2 = np.zeros(int(n_entries))
+        self.n = 0
         self.weight_stat = ConvergenceStat()
         self.max_weight = 0.0
         self.rounds = 0
@@ -108,8 +111,19 @@ class CellAllocator:
     def commit(self, weights: np.ndarray, indicators: np.ndarray) -> None:
         """Fold one round in; ``indicators`` is ``(n_entries, round_size)``."""
         weights = np.asarray(weights, dtype=float)
-        for stat, row in zip(self.entry_stats, np.asarray(indicators)):
-            stat.update(np.asarray(row, dtype=float) * weights)
+        values = np.asarray(indicators, dtype=float) * weights
+        if values.size:
+            # ConvergenceStat's unit-weight update and Chan merge, one row
+            # per entry; its weight sums are the counts, exact in floats.
+            before, width = float(self.n), float(values.shape[1])
+            total = before + width
+            batch_mean = values.mean(axis=1)
+            delta = batch_mean - self.mean
+            self.m2 += ((values - batch_mean[:, None]) ** 2).sum(axis=1) + (
+                delta * delta * before * width / total
+            )
+            self.mean += delta * width / total
+            self.n += values.shape[1]
         self.weight_stat.update(weights, weights=weights)
         if weights.size:
             self.max_weight = max(self.max_weight, float(weights.max()))
@@ -135,18 +149,19 @@ class CellAllocator:
         target (the boundary weights are the tiny ones).
         """
         config = self.config
+        if self.n < 2:
+            return not self.mean.size
         rule_of_three = (
             3.0 * self.max_weight if self.proposal.is_identity else 0.0
         )
-        for stat in self.entry_stats:
-            if stat.count < 2:
-                return False
-            half_width = config.z * stat.std_error
-            if stat.mean == 0.0:
-                half_width = max(half_width, rule_of_three / stat.count)
-            if half_width > config.ci_abs + config.ci_rel * abs(stat.mean):
-                return False
-        return True
+        floor = rule_of_three / self.n
+        half = self.half_widths()
+        # ``max(half, floor)`` on all-zero entries, resolving NaNs as
+        # Python's ``max`` does; "no entry is provably outside", so a NaN
+        # half-width never fails the target.
+        half = np.where((self.mean == 0.0) & (floor > half), floor, half)
+        bound = config.ci_abs + config.ci_rel * np.abs(self.mean)
+        return not (half > bound).any()
 
     def should_stop(self) -> bool:
         """The adaptive stopping rule (fixed-round modes bypass this)."""
@@ -175,15 +190,18 @@ class CellAllocator:
         [0, 1] on finite samples; dictionary assembly clips, unbiasedness
         tests read the raw values.
         """
-        values = np.array([stat.mean for stat in self.entry_stats])
+        values = self.mean.copy()
         if clip:
             np.clip(values, 0.0, 1.0, out=values)
         return values
 
     def half_widths(self) -> np.ndarray:
-        return np.array(
-            [self.config.z * stat.std_error for stat in self.entry_stats]
-        )
+        """``z * std_error`` per entry.  Unit weights make a
+        :class:`ConvergenceStat`'s ESS the count ``n`` and its variance
+        denominator ``n - 1``, both exact in floats."""
+        if self.n < 2:
+            return np.zeros_like(self.mean)
+        return self.config.z * np.sqrt(self.m2 / (self.n - 1.0) / self.n)
 
     def report(self) -> AllocationReport:
         return AllocationReport(

@@ -62,7 +62,7 @@ __all__ = [
     "simulate_transition_reference",
     "resimulate_with_extra",
     "resimulate_with_extra_reference",
-    "replay_sizes",
+    "prepare_cones",
     "replay_cones",
     "edge_offsets",
     "active_kernel",
@@ -168,6 +168,14 @@ class TransitionSimResult:
             ],
             dtype=np.int64,
         )
+
+    def settle_rows(self, nets: Sequence[str]) -> np.ndarray:
+        """Settle rows of ``nets`` stacked into one ``(len(nets), width)``
+        array."""
+        take = getattr(self.stable, "take_rows", None)
+        if take is not None:
+            return take(nets)
+        return np.stack([self.stable[net] for net in nets])
 
     def arrival(self, net: str) -> RandomVariable:
         """``Ar(net)`` on the induced circuit (full-width results only)."""
@@ -348,11 +356,10 @@ def resimulate_with_extra(
     must be a full-width simulation of the same timing model.
 
     ``affected`` optionally supplies that cone union precomputed, so a
-    caller that replays one suspect against many patterns (the sampled
-    dictionary path, through :func:`replay_sizes`) amortizes the cone
+    caller that replays one suspect many times amortizes the cone
     traversal, and the compiled kernel's cone restriction, across all of
     them.  It must cover (at least) the fanout cones of every edge in
-    ``extra_delay``.  Plain dictionary builds replay all suspects of one
+    ``extra_delay``.  Dictionary builds replay all suspects of one
     pattern at once through :func:`replay_cones` instead.
 
     When the base carries a compiled-kernel schedule and the compiled
@@ -367,42 +374,46 @@ def resimulate_with_extra(
     return resimulate_with_extra_reference(base, extra_delay, affected)
 
 
-def replay_sizes(
+def prepare_cones(
     base: TransitionSimResult,
-    edge_index: int,
-    size_vectors: Sequence[np.ndarray],
-    affected: Iterable[str],
-    nets: Sequence[str],
-) -> np.ndarray:
-    """Batched :func:`resimulate_with_extra` for one suspect edge.
+    edge_indices: Sequence[int],
+    cones: Sequence[Sequence[str]],
+    nets: Sequence[Sequence[str]],
+):
+    """The sizes-independent half of :func:`replay_cones`.
 
-    Returns the ``(len(size_vectors), len(nets), width)`` settle rows of
-    ``nets`` after adding each vector of ``size_vectors`` to the edge —
-    the sampling subsystem replays the same (suspect, pattern) cone once
-    per allocation round, and the compiled kernel hoists the cone
-    schedule and delay gathers across the whole batch.  Bit-identical to
-    the per-vector loop on either kernel.
+    Returns an object whose ``replay(sizes)`` equals ``replay_cones(base,
+    edge_indices, sizes, cones, nets)``, so a caller that replays the
+    same copies with many size draws (the sampled dictionary path, once
+    per allocation round) restricts their cones once.  The compiled
+    kernel returns a :class:`repro.timing.kernel.ConeReplay`; otherwise
+    each replay runs the per-copy :func:`resimulate_with_extra` loop.
     """
-    size_vectors = list(size_vectors)
     if base.kernel_state is not None and active_kernel() == "compiled":
-        from .kernel import replay_cone_sizes_compiled
+        from .kernel import ConeReplay
 
-        return replay_cone_sizes_compiled(
-            base, edge_index, size_vectors, affected, nets
-        )
-    nets = list(nets)
-    out = np.empty((len(size_vectors), len(nets), base.width))
-    for index, sizes in enumerate(size_vectors):
-        patched = resimulate_with_extra(
-            base, {int(edge_index): sizes}, affected=affected
-        )
-        stable = patched.stable
-        take = getattr(stable, "take_rows", None)
-        if take is not None:
-            out[index] = take(nets)
-        else:
-            out[index] = np.stack([stable[net] for net in nets])
-    return out
+        return ConeReplay(base, edge_indices, cones, nets)
+    return _CopyLoop(base, edge_indices, cones, nets)
+
+
+class _CopyLoop:
+    """:func:`prepare_cones` without a compiled schedule: one
+    :func:`resimulate_with_extra` per copy and replay."""
+
+    def __init__(self, base, edge_indices, cones, nets):
+        self.base = base
+        self.copies = list(zip(edge_indices, cones, nets))
+
+    def replay(self, sizes: np.ndarray) -> np.ndarray:
+        sizes = np.asarray(sizes)
+        parts = [np.empty((0, self.base.width))]
+        for copy, (edge_index, cone, group) in enumerate(self.copies):
+            parts.append(resimulate_with_extra(
+                self.base,
+                {int(edge_index): sizes if sizes.ndim == 1 else sizes[copy]},
+                affected=cone,
+            ).settle_rows(group))
+        return np.concatenate(parts)
 
 
 def replay_cones(
@@ -415,30 +426,18 @@ def replay_cones(
     """Batched :func:`resimulate_with_extra` over many suspect edges of
     one pattern.
 
-    Copy ``c`` adds ``sizes`` to edge ``edge_indices[c]`` with
+    Copy ``c`` adds ``sizes`` — or ``sizes[c]`` when ``sizes`` is
+    ``(n_copies, width)`` — to edge ``edge_indices[c]`` with
     ``affected=cones[c]``; the result stacks the settle rows of every
     ``nets[c]`` in copy order into one ``(sum(len(nets[c])), width)``
-    array — the plain dictionary builder thresholds every entry of a
-    pattern column in one pass over it.  The compiled kernel restricts
-    and replays every copy in one level-ordered pass; otherwise each copy
-    runs :func:`resimulate_with_extra`.  Bit-identical to that per-copy
-    loop on either kernel.
+    array.  Dictionary builders threshold every entry of a pattern column
+    in one pass over it; two copies may name the same edge with different
+    sizes (two allocation rounds of one suspect).  The compiled kernel
+    restricts and replays every copy in one level-ordered pass; otherwise
+    each copy runs :func:`resimulate_with_extra`.  Bit-identical to that
+    per-copy loop on either kernel.
     """
-    if base.kernel_state is not None and active_kernel() == "compiled":
-        from .kernel import replay_cones_compiled
-
-        return replay_cones_compiled(base, edge_indices, sizes, cones, nets)
-    parts = [np.empty((0, base.width))]
-    for edge_index, cone, group in zip(edge_indices, cones, nets):
-        stable = resimulate_with_extra(
-            base, {int(edge_index): sizes}, affected=cone
-        ).stable
-        take = getattr(stable, "take_rows", None)
-        if take is not None:
-            parts.append(take(group))
-        else:
-            parts.append(np.stack([stable[net] for net in group]))
-    return np.concatenate(parts)
+    return prepare_cones(base, edge_indices, cones, nets).replay(sizes)
 
 
 def resimulate_with_extra_reference(

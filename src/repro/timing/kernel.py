@@ -34,18 +34,20 @@ overlay on top of the base result; the replayed slice is tiny compared to
 the circuit.  One routine, :meth:`PatternSchedule.restrict`, builds the
 slices of one cone or of many: each cone is a *copy* with its own overlay
 rows, and the copies' groups are laid out plan by plan, so one fused
-reduction per plan replays every copy.  The plain dictionary builder
-replays all live suspects of a pattern that way in one pass
-(:func:`replay_cones_compiled`): a suspect's cone is ~12 edges over ~6
+reduction per plan replays every copy.  Both dictionary builders replay
+all live suspects of a pattern that way in one pass
+(:class:`ConeReplay`): a suspect's cone is ~12 edges over ~6
 levels, so a per-suspect replay is bound by per-call numpy overhead, not
-arithmetic.  The one-copy case (:meth:`PatternSchedule.cone_for`) serves
-:func:`resimulate_with_extra_compiled` and the sampled path's
-:func:`replay_cone_sizes_compiled`, which replay one cone many times; it
-is cached per schedule, keyed by the identity of the (read-only,
-memoized) cone list the caller passes.  A replay whose extra delay sits
-only on non-candidate pins of the pattern (edges missing from the
-schedule) cannot change a settle time, so it reads the base result
-without touching a cone at all.
+arithmetic.  Each copy takes its own size vector when the sizes come one
+row per copy, so the sampled builder replays one allocation round of
+every active suspect in the same pass, and keeps the restriction
+between rounds while the column's copies stay the same.
+The one-copy case (:meth:`PatternSchedule.cone_for`) serves
+:func:`resimulate_with_extra_compiled`; it is cached per schedule, keyed
+by the identity of the (read-only, memoized) cone list the caller
+passes.  A replay whose extra delay sits only on non-candidate pins of
+the pattern (edges missing from the schedule) cannot change a settle
+time, so it reads the base result without touching a cone at all.
 
 Bit-identity with the reference kernel is a hard contract
 (``tests/test_kernel.py``): min/max reductions are exact selections, and
@@ -78,8 +80,7 @@ __all__ = [
     "compile_circuit",
     "simulate_transition_compiled",
     "resimulate_with_extra_compiled",
-    "replay_cones_compiled",
-    "replay_cone_sizes_compiled",
+    "ConeReplay",
     "SCHEDULE_CACHE_ENV",
     "CONE_CACHE_ENV",
 ]
@@ -417,10 +418,9 @@ class PatternSchedule:
         """The schedule slice recomputing (at most) ``affected``, cached.
 
         The one-copy case of :meth:`restrict`, keyed by the identity of
-        ``affected`` when it is reused verbatim across calls — the
-        sampled dictionary path passes the memoized
-        ``Circuit.fanout_cone`` list for every (suspect, pattern) pair, so
-        the steady state is one dict probe.  The cache holds a strong
+        ``affected`` when it is reused verbatim across calls — callers
+        that pass the memoized ``Circuit.fanout_cone`` list for every
+        replay of a cone hit in one dict probe.  The cache holds a strong
         reference to the keyed object (no id recycling); callers must
         treat ``affected`` as immutable once passed.
         """
@@ -911,156 +911,119 @@ def resimulate_with_extra_compiled(
     )
 
 
-def replay_cones_compiled(
-    base: TransitionSimResult,
-    edge_indices: Sequence[int],
-    sizes: np.ndarray,
-    cones: Sequence[Sequence[str]],
-    nets: Sequence[Sequence[str]],
-) -> np.ndarray:
+class ConeReplay:
     """One pattern's replays for many suspect edges, in one pass.
 
-    Copy ``c`` adds ``sizes`` to edge ``edge_indices[c]`` and recomputes
-    ``cones[c]``.  Returns the settle rows of every ``nets[c]``, stacked
-    in copy order into one ``(sum(len(nets[c])), width)`` array.  Every
-    copy is restricted in one :meth:`PatternSchedule.restrict` call and
-    all of them replay in one level-ordered pass, so the per-call numpy
-    overhead is paid per plan instead of per (copy, plan).  Each overlay
-    entry is the same reduction over the same ``base[source] + (delay +
-    sizes)`` operands, in the same order, as
+    Copy ``c`` adds a size vector to edge ``edge_indices[c]`` and
+    recomputes ``cones[c]``; :meth:`replay` returns the settle rows of
+    every ``nets[c]``, stacked in copy order.  Every copy is restricted
+    in one :meth:`PatternSchedule.restrict` call when the object is built
+    and all of them replay in one level-ordered pass per :meth:`replay`,
+    so the per-call numpy overhead is paid per plan instead of per (copy,
+    plan), and a caller that replays the same copies with fresh sizes
+    (the sampled dictionary path, once per allocation round) restricts
+    once.  Each overlay entry is the same reduction over the same
+    ``base[source] + (delay + size)`` operands, in the same order, as
     :func:`resimulate_with_extra_compiled` computes for that copy alone,
     so the rows are bit-identical to the per-copy loop, and so are the
-    per-copy counters.
+    per-copy counters.  ``kernel.cone_schedules`` counts each restricted
+    copy once, ``kernel.cone_reuse`` each restricted copy of every
+    replay after the first.
     """
-    schedule, base_stable = _compiled_parts(base)
-    base_matrix = base_stable.matrix
-    net_rows = schedule.compiled.net_rows
-    counts = [len(group) for group in nets]
-    # Compact row of every requested (copy, net) entry, copy-major; every
-    # entry starts from its base row and recomputed ones are overwritten.
-    entry_rows = schedule.compact_rows[np.fromiter(
-        (net_rows[net] for group in nets for net in group),
-        dtype=np.int64, count=sum(counts),
-    )]
-    out = base_matrix[entry_rows]
-    # A copy whose edge is not a candidate pin replays to the base rows
-    # (see resimulate_with_extra_compiled); so does an empty cone.
-    edge_pos = schedule.edge_pos
-    candidate = [int(edge) in edge_pos for edge in edge_indices]
-    replayed = [
-        c for c, is_candidate in enumerate(candidate)
-        if is_candidate and len(cones[c])
-    ]
-    recorder = obs.get_recorder()
-    if recorder.enabled:
-        skipped = candidate.count(False)
-        if skipped:
-            recorder.count("kernel.replays_skipped", skipped)
-        if replayed:
-            recorder.count("dynamic.resimulations", len(replayed))
-            recorder.count(
-                "dynamic.nets_recomputed",
-                sum(len(cones[c]) for c in replayed),
-            )
+
+    __slots__ = ("base_matrix", "delays", "entry_rows", "skipped",
+                 "n_copies", "n_recomputed", "replays", "cone", "hit",
+                 "hit_copy", "entries", "overlay_rows")
+
+    def __init__(
+        self,
+        base: TransitionSimResult,
+        edge_indices: Sequence[int],
+        cones: Sequence[Sequence[str]],
+        nets: Sequence[Sequence[str]],
+    ) -> None:
+        schedule, base_stable = _compiled_parts(base)
+        net_rows = schedule.compiled.net_rows
+        # Only index tables are kept: a column's copies can hold megabytes
+        # of delay and settle rows, gathered again per replay instead.
+        self.base_matrix = base_stable.matrix
+        self.delays = _replay_delays(base)
+        counts = [len(group) for group in nets]
+        # Compact row of every requested (copy, net) entry, copy-major;
+        # every entry starts from its base row and recomputed ones are
+        # overwritten.
+        self.entry_rows = schedule.compact_rows[np.fromiter(
+            (net_rows[net] for group in nets for net in group),
+            dtype=np.int64, count=sum(counts),
+        )]
+        # A copy whose edge is not a candidate pin replays to the base rows
+        # (see resimulate_with_extra_compiled); so does an empty cone.
+        edge_pos = schedule.edge_pos
+        candidate = [int(edge) in edge_pos for edge in edge_indices]
+        replayed = [
+            c for c, is_candidate in enumerate(candidate)
+            if is_candidate and len(cones[c])
+        ]
+        self.skipped = candidate.count(False)
+        self.n_copies = len(replayed)
+        self.n_recomputed = sum(len(cones[c]) for c in replayed)
+        self.replays = 0
+        self.cone = None
+        recorder = obs.get_recorder()
+        if recorder.enabled and replayed:
             recorder.count("kernel.cone_schedules", len(replayed))
-    if not replayed:
-        return out
-    cone = schedule.restrict([cones[c] for c in replayed])
-    if not cone.steps:
-        return out
-    dl = _replay_delays(base)[cone.edges]
-    # Each copy's own suspect edge takes the extra delay, in that copy only.
-    replayed_edges = np.asarray(edge_indices, dtype=np.int64)[replayed]
-    hit = np.flatnonzero(cone.edges == replayed_edges[cone.edge_copy])
-    dl[hit] = dl[hit] + np.asarray(sizes)
-    rows = base_matrix[cone.sources]
-    rows += dl
-    overlay = np.empty((cone.n_overlay, base.width))
-    _replay_steps(cone, rows, dl, overlay)
-    if recorder.enabled:
-        recorder.count("kernel.reductions", len(cone.edges))
-    slot = np.full(len(edge_indices), -1, dtype=np.int64)
-    slot[replayed] = np.arange(len(replayed), dtype=np.int64)
-    entry_slot = np.repeat(slot, counts)
-    entries = np.flatnonzero(entry_slot >= 0)
-    overlay_rows = cone.overlay_of[entry_slot[entries], entry_rows[entries]]
-    recomputed = overlay_rows >= 0
-    out[entries[recomputed]] = overlay[overlay_rows[recomputed]]
-    return out
-
-
-def replay_cone_sizes_compiled(
-    base: TransitionSimResult,
-    edge_index: int,
-    size_vectors: Sequence[np.ndarray],
-    affected: Iterable[str],
-    nets: Sequence[str],
-) -> np.ndarray:
-    """Batched cone replays for one suspect edge.
-
-    Returns the ``(len(size_vectors), len(nets), width)`` settle rows of
-    ``nets`` after adding each vector of ``size_vectors`` to the edge.
-    The sampling subsystem re-simulates the same (suspect, pattern) cone
-    once per allocation round; this hoists the cone schedule lookup, the
-    delay gather and the candidate-row gather across the whole batch
-    instead of paying them per round.  Bit-identical to calling
-    :func:`resimulate_with_extra_compiled` once per vector and stacking
-    ``stable.take_rows(nets)``.
-    """
-    schedule, base_stable = _compiled_parts(base)
-    if not hasattr(affected, "__len__"):
-        affected = set(affected)
-    nets = list(nets)
-    size_vectors = list(size_vectors)
-    out = np.empty((len(size_vectors), len(nets), base.width))
-    if not affected or not size_vectors:
-        return out
-
-    recorder = obs.get_recorder()
-    if schedule.edge_pos.get(int(edge_index)) is None:
-        # Not a candidate pin under this pattern: every vector replays to
-        # the base rows (see resimulate_with_extra_compiled).
-        if recorder.enabled:
-            recorder.count("kernel.replays_skipped", len(size_vectors))
-        out[:] = base_stable.take_rows(nets)
-        return out
-    cone = schedule.cone_for(affected)
-    overlay_rows = cone.overlay_rows
-    row_index = [overlay_rows.get(net) for net in nets]
-
-    if recorder.enabled:
-        recorder.count("dynamic.resimulations", len(size_vectors))
-        recorder.count(
-            "dynamic.nets_recomputed", len(affected) * len(size_vectors)
+        if not replayed:
+            return
+        cone = schedule.restrict([cones[c] for c in replayed])
+        if not cone.steps:
+            return
+        self.cone = cone
+        # Each copy's own suspect edge takes the extra delay, in that copy
+        # only; ``hit_copy`` is the caller's copy index of each hit.
+        replayed = np.asarray(replayed, dtype=np.int64)
+        replayed_edges = np.asarray(edge_indices, dtype=np.int64)[replayed]
+        self.hit = np.flatnonzero(
+            cone.edges == replayed_edges[cone.edge_copy]
         )
+        self.hit_copy = replayed[cone.edge_copy[self.hit]]
+        slot = np.full(len(edge_indices), -1, dtype=np.int64)
+        slot[replayed] = np.arange(len(replayed), dtype=np.int64)
+        entry_slot = np.repeat(slot, counts)
+        entries = np.flatnonzero(entry_slot >= 0)
+        overlay_rows = cone.overlay_of[
+            entry_slot[entries], self.entry_rows[entries]
+        ]
+        recomputed = overlay_rows >= 0
+        self.entries = entries[recomputed]
+        self.overlay_rows = overlay_rows[recomputed]
 
-    if not cone.steps:
-        # Nothing recomputed in this cone: every requested net falls
-        # through to the base rows for every vector.
-        if nets:
-            out[:] = np.stack([base_stable[net] for net in nets])
-        return out
-
-    dl0 = _replay_delays(base)[cone.edges]
-    src0 = base_stable.matrix[cone.sources]
-    pos = cone.edge_pos.get(int(edge_index))
-    overlay = np.empty((cone.n_overlay, base.width))
-    base_rows = {
-        net: base_stable[net]
-        for net, row in zip(nets, row_index)
-        if row is None
-    }
-    for vector, sizes in enumerate(size_vectors):
-        dl = dl0
-        if pos is not None:
-            dl = dl0.copy()
-            dl[pos] = dl0[pos] + np.asarray(sizes)
-        rows = src0 + dl
+    def replay(self, sizes: np.ndarray) -> np.ndarray:
+        """The stacked entry rows after adding ``sizes`` to every copy's
+        edge: ``(width,)`` for all copies, ``(n_copies, width)`` for one
+        row per copy."""
+        recorder = obs.get_recorder()
+        if recorder.enabled:
+            if self.skipped:
+                recorder.count("kernel.replays_skipped", self.skipped)
+            if self.n_copies:
+                recorder.count("dynamic.resimulations", self.n_copies)
+                recorder.count("dynamic.nets_recomputed", self.n_recomputed)
+                if self.replays:
+                    recorder.count("kernel.cone_reuse", self.n_copies)
+        self.replays += 1
+        out = self.base_matrix[self.entry_rows]
+        cone = self.cone
+        if cone is None:
+            return out
+        sizes = np.asarray(sizes)
+        dl = self.delays[cone.edges]
+        hit = self.hit
+        dl[hit] = dl[hit] + (sizes if sizes.ndim == 1 else sizes[self.hit_copy])
+        rows = self.base_matrix[cone.sources]
+        rows += dl
+        overlay = np.empty((cone.n_overlay, rows.shape[1]))
         _replay_steps(cone, rows, dl, overlay)
-        for column, (net, row) in enumerate(zip(nets, row_index)):
-            out[vector, column] = (
-                overlay[row] if row is not None else base_rows[net]
-            )
-    if recorder.enabled:
-        recorder.count("kernel.reductions", len(cone.edges) * len(size_vectors))
-    return out
+        if recorder.enabled:
+            recorder.count("kernel.reductions", len(cone.edges))
+        out[self.entries] = overlay[self.overlay_rows]
+        return out

@@ -29,7 +29,7 @@ from repro.timing import (
     simulate_transition,
     simulate_transition_reference,
 )
-from repro.timing.dynamic import replay_sizes
+from repro.timing.dynamic import replay_cones
 from repro.timing.kernel import ConeStableTimes, StableTimes
 
 
@@ -507,7 +507,11 @@ class TestCompactMatrix:
             expected[0], resimulate_with_extra(base, {edge: sizes[0]}, affected=cone)
         )
         nets = list(circuit.outputs) + active[:3]
-        batched = replay_sizes(base, edge, sizes, cone, nets)
+        # One copy per size vector, each with its own sizes.
+        batched = replay_cones(
+            base, [edge] * len(sizes), np.stack(sizes), [cone] * len(sizes),
+            [nets] * len(sizes),
+        ).reshape(len(sizes), len(nets), -1)
         for index, patched in enumerate(expected):
             assert np.array_equal(
                 batched[index], np.stack([patched.stable[net] for net in nets])
@@ -533,8 +537,8 @@ class TestCompactMatrix:
         )
         nets = list(circuit.outputs)
         assert np.array_equal(
-            replay_sizes(base, edge, [extra[edge]], cone, nets),
-            replay_sizes(clone, edge, [extra[edge]], cone, nets),
+            replay_cones(base, [edge], extra[edge][None], [cone], [nets]),
+            replay_cones(clone, [edge], extra[edge][None], [cone], [nets]),
         )
 
 
@@ -545,6 +549,7 @@ def test_kernel_type_hints_resolve():
         getattr(kernel, name) for name in kernel.__all__
         if inspect.isfunction(getattr(kernel, name))
     ]
-    assert kernel.replay_cone_sizes_compiled in functions
-    for function in functions:
+    assert kernel.resimulate_with_extra_compiled in functions
+    for function in functions + [kernel.ConeReplay.__init__,
+                                 kernel.ConeReplay.replay]:
         typing.get_type_hints(function)

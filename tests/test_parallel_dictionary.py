@@ -162,6 +162,13 @@ class TestExecutor:
         assert [index for chunk in chunks for index in chunk] == list(range(100))
         assert len(chunks) >= 4
 
+    def test_one_worker_auto_size_is_one_chunk(self):
+        for work in (None, 16, 10 * MIN_CHUNK_WORK):
+            chunks = chunk_indices(100, None, n_workers=1, work_per_item=work)
+            assert chunks == [range(100)]
+        # an explicit chunk size still wins
+        assert len(chunk_indices(100, 30, n_workers=1)) == 4
+
     def test_map_chunked_preserves_order(self):
         for backend in ("serial", "process", "thread"):
             config = ParallelConfig(backend=backend, n_workers=2, chunk_size=2)

@@ -18,8 +18,9 @@ golden file:
   is what the importance proposal beats for its sample reduction,
 * the ESS degeneracy guard escalates ``alpha`` instead of letting the
   weights collapse,
-* ``replay_sizes`` (the batched kernel path) is bit-identical to the
-  per-vector loop on either kernel,
+* ``replay_cones`` with one size vector per copy (the batched kernel
+  path the sampler drives) is bit-identical to the per-vector loop on
+  either kernel,
 * dictionary integration: ``--sampler plain`` is bit-identical to the
   legacy path, sampled builds are bit-identical across
   serial/thread/process backends, a chain-circuit entry matches the
@@ -299,9 +300,18 @@ class TestAllocatorAccuracy:
 # batched cone replay (the kernel seam the sampler drives)
 # ----------------------------------------------------------------------
 class TestReplaySizes:
+    """``replay_cones`` over copies of one cone, one size vector each."""
+
     def _case(self, c17, kernel, monkeypatch):
         from repro.timing import CircuitTiming, SampleSpace, simulate_transition
-        from repro.timing.dynamic import replay_sizes
+        from repro.timing.dynamic import replay_cones
+
+        def replay_sizes(base, edge_index, vectors, affected, nets):
+            n = len(vectors)
+            return replay_cones(
+                base, [edge_index] * n, np.stack(vectors), [affected] * n,
+                [nets] * n,
+            ).reshape(n, len(nets), -1)
 
         monkeypatch.setenv("REPRO_TIMING_KERNEL", kernel)
         timing = CircuitTiming(c17, SampleSpace(n_samples=50, seed=0))

@@ -18,7 +18,7 @@ from repro.timing import (
     simulate_pattern_set,
     simulate_transition,
 )
-from repro.timing.dynamic import replay_sizes
+from repro.timing.dynamic import replay_cones
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +281,10 @@ class TestDictionaryOracle:
                 nets = [net for net in cone if net in circuit.outputs] + [
                     edge.sink
                 ]
-                replayed = replay_sizes(sim, index, [sizes, 2 * sizes], cone, nets)
+                replayed = replay_cones(
+                    sim, [index, index], np.stack([sizes, 2 * sizes]),
+                    [cone, cone], [nets, nets],
+                ).reshape(2, len(nets), -1)
                 base_rows = np.stack([sim.stable[net] for net in nets])
                 assert np.array_equal(replayed[0], base_rows)
                 assert np.array_equal(replayed[1], base_rows)
