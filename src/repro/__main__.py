@@ -88,9 +88,6 @@ def _apply_execution_flags(args) -> None:
         os.environ["REPRO_RETRY_TIMEOUT"] = str(chunk_timeout)
     if getattr(args, "no_degrade", False):
         os.environ["REPRO_RETRY_NO_DEGRADE"] = "1"
-    kernel = getattr(args, "kernel", None)
-    if kernel:
-        os.environ["REPRO_TIMING_KERNEL"] = kernel
     sampler = getattr(args, "sampler", None)
     if sampler:
         os.environ["REPRO_SAMPLER"] = sampler
@@ -258,7 +255,9 @@ def cmd_profile(args) -> int:
     §10): simulate a failing chip, build the fault dictionary cold and
     warm through a cache, diagnose — all under a live metrics recorder —
     then prove the instrumented dictionary is bit-identical to an
-    uninstrumented build and print/emit the metrics.
+    uninstrumented build, and a plain build to the reference oracle's
+    (:func:`repro.timing.reference.oracle_dictionary`), and print/emit
+    the metrics.
     """
     import tempfile
 
@@ -338,35 +337,22 @@ def cmd_profile(args) -> int:
     )
     recorder.gauge("profile.bit_identical", 1.0 if identical else 0.0)
 
-    # The second determinism proof: the other timing kernel reproduces the
-    # dictionary bit for bit.  Rebuilt cache-less from fresh base
-    # simulations — a cache hit here would prove nothing.
-    from .timing import active_kernel
+    # The second determinism proof: a plain build of the same suspects
+    # equals the reference oracle's dictionary from Definition E.1.  The
+    # oracle never reads the cache, so a cache-served build is checked too.
+    from .timing.reference import oracle_dictionary  # repro-lint: allow[D106] runtime oracle proof
 
-    this_kernel = active_kernel()
-    other_kernel = "reference" if this_kernel == "compiled" else "compiled"
-    saved_env = {
-        name: os.environ.pop(name, None)
-        for name in ("REPRO_TIMING_KERNEL", "REPRO_CACHE_DIR")
-    }
-    os.environ["REPRO_TIMING_KERNEL"] = other_kernel
-    try:
-        with obs.use_recorder(obs.NullRecorder()):
-            other_sims = simulate_pattern_set(timing, list(patterns))
-            other = build_dictionary(
-                timing, patterns, clk, suspects, sizes,
-                base_simulations=other_sims,
-                size_distribution=distribution,
-            )
-    finally:
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    kernels_identical = np.array_equal(other.m_crt, dictionary.m_crt) and all(
-        np.array_equal(other.signatures[edge], dictionary.signatures[edge])
-        for edge in other.suspects
+    with obs.use_recorder(obs.NullRecorder()):
+        plain = build_dictionary(
+            timing, patterns, clk, suspects, sizes, base_simulations=sims,
+            sampler="plain",
+        )
+        m_crt, signatures = oracle_dictionary(
+            timing, list(patterns), [clk], suspects, sizes
+        )
+    kernels_identical = np.array_equal(plain.m_crt, m_crt) and all(
+        np.array_equal(plain.signatures[edge], signature)
+        for edge, signature in zip(suspects, signatures)
     )
     recorder.gauge(
         "profile.kernels_bit_identical", 1.0 if kernels_identical else 0.0
@@ -376,8 +362,7 @@ def cmd_profile(args) -> int:
     print(f"profile: {args.benchmark}  clk {clk:.3f}  "
           f"suspects {len(suspects)}  top alg_rev {top}")
     print(f"instrumented == uninstrumented dictionary: {identical}")
-    print(f"{this_kernel} kernel == {other_kernel} kernel dictionary: "
-          f"{kernels_identical}")
+    print(f"compiled == oracle dictionary: {kernels_identical}")
     print(f"span depth: {recorder.span_depth()}")
     print()
     print(obs.render_metrics_text(recorder.snapshot()))
@@ -649,11 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-degrade", action="store_true", dest="no_degrade",
             help="fail with a typed error instead of degrading "
             "process -> thread -> serial when a worker pool breaks",
-        )
-        p.add_argument(
-            "--kernel", choices=("compiled", "reference"), default="",
-            help="dynamic-timing simulation kernel (default: compiled; "
-            "both are bit-identical, this is a performance knob)",
         )
         p.add_argument(
             "--sampler", choices=("plain", "is", "adaptive"), default="",

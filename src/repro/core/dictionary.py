@@ -186,24 +186,16 @@ class _SignatureJob:
 def _transition_matrix(
     circuit: Circuit, base_simulations: Sequence[TransitionSimResult]
 ) -> np.ndarray:
-    """``(n_sims, n_nets)`` bool: did net (topological index) toggle?"""
-    names = circuit.topological_order
-    n = len(names)
-    matrix = np.empty((len(base_simulations), n), dtype=bool)
+    """``(n_sims, n_nets)`` bool: did net (topological index) toggle?
+
+    Reads each simulation's compiled schedule, whose per-net transition
+    vector is in net-row (= topological) order already.
+    """
+    matrix = np.empty(
+        (len(base_simulations), len(circuit.topological_order)), dtype=bool
+    )
     for row, sim in enumerate(base_simulations):
-        # Compiled-kernel results carry the per-net transition vector in
-        # net-row (= topological) order already; reuse it instead of
-        # re-deriving from the value dicts.
-        precomputed = getattr(
-            getattr(sim, "kernel_state", None), "transitions", None
-        )
-        if precomputed is not None and len(precomputed) == n:
-            matrix[row] = precomputed
-            continue
-        val1, val2 = sim.val1, sim.val2
-        v1 = np.fromiter((val1[name] for name in names), np.int8, count=n)
-        v2 = np.fromiter((val2[name] for name in names), np.int8, count=n)
-        np.not_equal(v1, v2, out=matrix[row])
+        matrix[row] = sim.kernel_state.transitions
     return matrix
 
 

@@ -9,9 +9,9 @@ bit-identical parallel/cached dictionary guarantee established in PR 1:
 * ``D104`` — time/entropy-dependent seeding expressions,
 * ``D105`` — public simulation entry points that take a ``seed`` but do
   not let callers thread an explicit ``Generator``,
-* ``D106`` — reference-kernel entry points used outside ``timing/`` or
-  ``tests/`` (production code must go through the dispatching entry
-  points so ``REPRO_TIMING_KERNEL`` stays authoritative),
+* ``D106`` — the reference timing oracle (:mod:`repro.timing.reference`)
+  imported or called outside ``timing/`` or ``tests/`` (it is a test
+  oracle; production code runs the compiled kernel),
 * ``S406`` — code under a ``sampling/`` package constructing its own
   numpy generators (seeded or not) instead of threading
   ``repro.rng.spawn_generator`` spawn keys; ad-hoc generators break the
@@ -69,16 +69,12 @@ _SEEDING_SINKS = {
     "compat_from_seedsequence", "spawn_generator",
 }
 
-#: Reference-kernel entry points only ``timing/`` and ``tests/`` may name
-#: (D106) — everything else must use the dispatching entry points.
-_REFERENCE_KERNEL_NAMES = {
-    "simulate_transition_reference",
-    "resimulate_with_extra_reference",
-}
+#: The reference oracle module, which only ``timing/`` and ``tests/`` may
+#: import or call into (D106).
+_ORACLE_MODULE = "timing.reference"
 
-#: Path components in which D106 does not apply: the kernel's own package
-#: (the dispatcher must reach the reference path) and the test suite
-#: (which pins bit-identity against it).
+#: Path components in which D106 does not apply: the oracle's own package
+#: and the test suite (which pins bit-identity against it).
 _D106_EXEMPT_DIRS = {"timing", "tests"}
 
 #: Directory components that scope S406: inside a sampling package every
@@ -134,7 +130,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.findings: List[Diagnostic] = []
         parts = os.path.normpath(path).split(os.sep)
         #: D106 scope: the timing package itself and the test suite may
-        #: name the reference kernel; nothing else may.
+        #: use the reference oracle; nothing else may.
         self.d106_exempt = bool(_D106_EXEMPT_DIRS & set(parts[:-1]))
         #: S406 scope: files living under a sampling/ package directory.
         self.in_sampling = bool(_SAMPLING_DIRS & set(parts[:-1]))
@@ -159,8 +155,21 @@ class _DeterminismVisitor(ast.NodeVisitor):
         )
 
     # -- imports --------------------------------------------------------
+    def _oracle_import(self, node: ast.AST, module: str) -> None:
+        """D106 for an import of the oracle module (or from it)."""
+        if self.d106_exempt:
+            return
+        self._emit(
+            "D106", node.lineno,
+            f"imports the reference timing oracle `{module}` outside "
+            "timing/ or tests/; production code runs the compiled kernel "
+            "(simulate_transition / resimulate_with_extra)",
+        )
+
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
+            if ("." + alias.name).endswith("." + _ORACLE_MODULE):
+                self._oracle_import(node, alias.name)
             root = alias.name.split(".")[0]
             if root == "random":
                 if not _path_matches(self.path, _D101_ALLOWED_SUFFIXES):
@@ -194,16 +203,13 @@ class _DeterminismVisitor(ast.NodeVisitor):
         elif module == "numpy.random" and node.level == 0:
             for alias in node.names:
                 self.np_random_members[alias.asname or alias.name] = alias.name
-        if not self.d106_exempt:
-            for alias in node.names:
-                if alias.name in _REFERENCE_KERNEL_NAMES:
-                    self._emit(
-                        "D106", node.lineno,
-                        f"imports reference-kernel entry point "
-                        f"`{alias.name}` outside timing/ or tests/; use the "
-                        "dispatching entry point so REPRO_TIMING_KERNEL "
-                        "selects the kernel",
-                    )
+        dotted = "." * node.level + module
+        if ("." + module).endswith("." + _ORACLE_MODULE):
+            self._oracle_import(node, dotted)
+        elif ("." + module).endswith(".timing") and any(
+            alias.name == "reference" for alias in node.names
+        ):
+            self._oracle_import(node, f"{dotted}.reference")
         self.generic_visit(node)
 
     # -- calls ----------------------------------------------------------
@@ -257,18 +263,16 @@ class _DeterminismVisitor(ast.NodeVisitor):
                     )
 
     def visit_Call(self, node: ast.Call) -> None:
-        terminal = None
-        if isinstance(node.func, ast.Attribute):
-            terminal = node.func.attr
-        elif isinstance(node.func, ast.Name):
-            terminal = node.func.id
         if not self.d106_exempt:
-            if terminal in _REFERENCE_KERNEL_NAMES:
+            # A call that reaches the oracle through a package attribute
+            # chain; calls through imported names share the import's D106.
+            dotted = _dotted(node.func) or ""
+            if f".{_ORACLE_MODULE}." in f".{dotted}":
                 self._emit(
                     "D106", node.lineno,
-                    f"calls reference-kernel entry point `{terminal}` "
-                    "outside timing/ or tests/; use the dispatching entry "
-                    "point so REPRO_TIMING_KERNEL selects the kernel",
+                    f"calls the reference timing oracle `{dotted}` outside "
+                    "timing/ or tests/; production code runs the compiled "
+                    "kernel",
                 )
         member = self._np_random_member(node.func)
         if member is not None:

@@ -92,13 +92,13 @@ _CATALOG = (
         "core/ and timing/ (randvars.py, the stream owner, is exempt).",
     ),
     Rule(
-        "D106", "reference-kernel-outside-timing", Severity.ERROR, "code",
-        "Calls a reference-kernel entry point (simulate_transition_reference "
-        "/ resimulate_with_extra_reference) outside timing/ or tests/. "
-        "Production code must go through the dispatching entry points "
-        "(simulate_transition / resimulate_with_extra) so REPRO_TIMING_KERNEL "
-        "selects the kernel uniformly; hard-wiring the reference path "
-        "silently forfeits the compiled kernel's speedup.",
+        "D106", "reference-oracle-outside-timing", Severity.ERROR, "code",
+        "Imports or calls the reference timing oracle "
+        "(repro.timing.reference) outside timing/ or tests/. It is the "
+        "slow gate-by-gate test oracle of the compiled kernel; production "
+        "code runs simulate_transition / resimulate_with_extra. A "
+        "deliberate runtime check carries an inline allow[D106] with its "
+        "reason.",
     ),
     # ----------------------------------------------------------- circuit
     Rule(

@@ -1,5 +1,8 @@
 """Statistical timing substrate: random variables, cell library, STA,
-dynamic (two-vector) timing simulation, circuit instances."""
+dynamic (two-vector) timing simulation, circuit instances.
+
+The reference timing oracle is not re-exported here: tests import it
+from :mod:`repro.timing.reference`."""
 
 from .randvars import SampleSpace, RandomVariable
 from .celllib import CellLibrary, DEFAULT_BASE_DELAYS, nominal_edge_delay
@@ -8,11 +11,8 @@ from .instance import CircuitTiming, CircuitInstance
 from .sta import StaResult, analyze, suggest_clock
 from .dynamic import (
     TransitionSimResult,
-    active_kernel,
     simulate_transition,
-    simulate_transition_reference,
     resimulate_with_extra,
-    resimulate_with_extra_reference,
     edge_offsets,
 )
 from .kernel import CompiledCircuit, PatternSchedule, compile_circuit
@@ -67,11 +67,8 @@ __all__ = [
     "analyze_analytic",
     "compare_with_monte_carlo",
     "TransitionSimResult",
-    "active_kernel",
     "simulate_transition",
-    "simulate_transition_reference",
     "resimulate_with_extra",
-    "resimulate_with_extra_reference",
     "edge_offsets",
     "CompiledCircuit",
     "PatternSchedule",

@@ -25,32 +25,21 @@ one edge) changes settle times only inside the defect's fanout cone —
 :func:`resimulate_with_extra` exploits this to make probabilistic fault
 dictionary construction (hundreds of suspects) cheap.
 
-Two interchangeable evaluation kernels implement these rules:
-
-* the **reference** kernel (:func:`simulate_transition_reference` /
-  :func:`resimulate_with_extra_reference`) — the original gate-by-gate
-  Python walk, kept as the obviously-correct oracle,
-* the **compiled** kernel (:mod:`repro.timing.kernel`) — a one-time
-  lowering of the circuit into flat integer arrays plus a per-pattern
-  reduction schedule evaluated level-by-level with segment min/max
-  reductions across all Monte-Carlo samples at once.
-
-:func:`simulate_transition` and :func:`resimulate_with_extra` dispatch on
-``REPRO_TIMING_KERNEL`` (``compiled``, the default, or ``reference``); the
-two kernels are bit-identical (``tests/test_kernel.py`` pins this), so the
-switch is purely a performance knob.  Callers outside ``timing/`` must use
-the dispatching entry points — lint rule ``D106`` enforces it.
+The compiled kernel (:mod:`repro.timing.kernel`) evaluates these rules: a
+one-time lowering of the circuit into flat integer arrays plus a
+per-pattern reduction schedule evaluated level by level with segment
+min/max reductions across all Monte-Carlo samples at once.  Its
+bit-exact test oracle is the gate-by-gate Python walk in
+:mod:`repro.timing.reference`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..circuits.library import CONTROLLING_VALUE, GateType
 from ..circuits.netlist import Circuit
 from .. import obs
 from .instance import CircuitTiming
@@ -59,34 +48,13 @@ from .randvars import RandomVariable
 __all__ = [
     "TransitionSimResult",
     "simulate_transition",
-    "simulate_transition_reference",
     "resimulate_with_extra",
-    "resimulate_with_extra_reference",
     "prepare_cones",
     "replay_cones",
     "edge_offsets",
-    "active_kernel",
-    "KERNEL_ENV",
 ]
 
 ExtraDelay = Mapping[int, Union[float, np.ndarray]]
-
-#: Environment variable selecting the dynamic-simulation kernel.
-KERNEL_ENV = "REPRO_TIMING_KERNEL"
-
-#: Recognized kernel names, in default-first order.
-KERNELS = ("compiled", "reference")
-
-
-def active_kernel() -> str:
-    """The kernel :func:`simulate_transition` will dispatch to right now."""
-    value = os.environ.get(KERNEL_ENV, "").strip() or KERNELS[0]
-    if value not in KERNELS:
-        raise ValueError(
-            f"{KERNEL_ENV}={value!r} is not a known timing kernel; "
-            f"expected one of {', '.join(KERNELS)}"
-        )
-    return value
 
 
 def _compute_edge_offsets(circuit: Circuit) -> Dict[str, int]:
@@ -101,9 +69,10 @@ def _compute_edge_offsets(circuit: Circuit) -> Dict[str, int]:
 def edge_offsets(circuit: Circuit) -> Dict[str, int]:
     """First edge index of each gate's fanin block in ``circuit.edges`` order.
 
-    Memoized on the (frozen, hence immutable) circuit: both simulation
-    kernels and the event simulator ask for the same table on every call,
-    so it is computed at most once per circuit.  Treat it as read-only.
+    Memoized on the (frozen, hence immutable) circuit: the compiled
+    kernel, the reference oracle and the event simulator ask for the same
+    table on every call, so it is computed at most once per circuit.
+    Treat it as read-only.
     """
     cached = getattr(circuit, "_edge_offsets_cache", None)
     if cached is None:
@@ -119,19 +88,22 @@ class TransitionSimResult:
     ``stable[net]`` has shape ``(width,)`` where ``width`` is the number of
     simulated samples (the full sample space, or 1 for an instance-level
     simulation).  ``val1``/``val2`` are the settled logic values — identical
-    across samples since delays never change logic; the reference kernel
-    stores dicts, the compiled kernel read-only views of its schedule's
-    packed values (:class:`repro.logic.simulator.FrameValues`).
+    across samples since delays never change logic; simulations hold
+    read-only views of the schedule's packed values
+    (:class:`repro.logic.simulator.FrameValues`), oracle results
+    (:mod:`repro.timing.reference`) plain dicts.
 
-    ``stable`` is a mapping from net name to settle-time vector; the
-    reference kernel materializes a plain dict of per-net arrays (one
-    shared zero vector for every net that does not transition) while the
-    compiled kernel backs the same mapping with one read-only
-    ``(n_transitioning + 1, width)`` matrix: a row per transitioning
-    non-input gate plus one zero row every other net shares
-    (:class:`repro.timing.kernel.StableTimes`).  ``kernel_state``
-    carries the compiled kernel's pattern schedule so cone-restricted
-    re-simulation can replay it; it is ``None`` for reference results.
+    ``stable`` is a mapping from net name to settle-time vector.  A
+    simulation backs it with one read-only ``(n_transitioning + 1,
+    width)`` matrix: a row per transitioning non-input gate plus one zero
+    row every other net shares (:class:`repro.timing.kernel.StableTimes`);
+    a replay overlays its recomputed cone on the base matrix
+    (:class:`repro.timing.kernel.ConeStableTimes`); an oracle result is
+    a plain dict of per-net arrays.  ``kernel_state`` carries the
+    compiled pattern schedule that cone-restricted re-simulation replays.
+    It is ``None`` for replay and oracle results, which is why the
+    transition and error queries below keep a value-dict path, and why a
+    replay of a replay raises ``TypeError``.
     """
 
     timing: CircuitTiming
@@ -218,39 +190,6 @@ class TransitionSimResult:
         return failures
 
 
-def _gate_settle_time(
-    gate_type: GateType,
-    fanins: Sequence[str],
-    val1: Dict[str, int],
-    val2: Dict[str, int],
-    stable_of,
-    delay_of,
-) -> np.ndarray:
-    """Apply the controlled-min / transitioning-max settle rule for one gate."""
-    controlling = CONTROLLING_VALUE[gate_type]
-    if controlling is not None:
-        controlled = [
-            (fanin, pin)
-            for pin, fanin in enumerate(fanins)
-            if val2[fanin] == controlling
-        ]
-        if controlled:
-            candidates = [stable_of(f) + delay_of(p) for f, p in controlled]
-            return np.minimum.reduce(candidates)
-    transitioning = [
-        (fanin, pin)
-        for pin, fanin in enumerate(fanins)
-        if val1[fanin] != val2[fanin]
-    ]
-    if not transitioning:
-        # The output transition must then come from nowhere — callers only
-        # invoke this for transitioning outputs, which implies at least one
-        # transitioning input except in degenerate const-redundant cases.
-        transitioning = list((fanin, pin) for pin, fanin in enumerate(fanins))
-    candidates = [stable_of(f) + delay_of(p) for f, p in transitioning]
-    return np.maximum.reduce(candidates)
-
-
 def simulate_transition(
     timing: CircuitTiming,
     v1: np.ndarray,
@@ -265,81 +204,12 @@ def simulate_transition(
     restricts the simulation to one Monte-Carlo sample, i.e. simulates a
     single :class:`CircuitInstance`; the result then has ``width == 1``.
 
-    Dispatches to the kernel selected by ``REPRO_TIMING_KERNEL`` (the
-    compiled levelized kernel by default); both kernels are bit-identical.
+    Runs the compiled kernel (:mod:`repro.timing.kernel`).
     """
-    if active_kernel() == "compiled":
-        from .kernel import simulate_transition_compiled
+    from .kernel import simulate_transition_compiled
 
-        return simulate_transition_compiled(
-            timing, v1, v2, extra_delay=extra_delay, sample_index=sample_index
-        )
-    return simulate_transition_reference(
+    return simulate_transition_compiled(
         timing, v1, v2, extra_delay=extra_delay, sample_index=sample_index
-    )
-
-
-def simulate_transition_reference(
-    timing: CircuitTiming,
-    v1: np.ndarray,
-    v2: np.ndarray,
-    extra_delay: Optional[ExtraDelay] = None,
-    sample_index: Optional[int] = None,
-) -> TransitionSimResult:
-    """The reference (gate-by-gate Python) kernel behind
-    :func:`simulate_transition`; kept as the bit-exact oracle the compiled
-    kernel is validated against."""
-    circuit = timing.circuit
-    v1 = np.asarray(v1).astype(int).ravel()
-    v2 = np.asarray(v2).astype(int).ravel()
-    if v1.shape[0] != len(circuit.inputs) or v2.shape[0] != len(circuit.inputs):
-        raise ValueError("test vectors must cover every primary input")
-
-    val1 = circuit.evaluate({net: int(v1[i]) for i, net in enumerate(circuit.inputs)})
-    val2 = circuit.evaluate({net: int(v2[i]) for i, net in enumerate(circuit.inputs)})
-
-    if sample_index is None:
-        delays = timing.delays
-        width = timing.space.n_samples
-    else:
-        delays = timing.delays[:, sample_index : sample_index + 1]
-        width = 1
-
-    # One conversion per extra edge, not one per (gate, pin) closure call.
-    extra = {
-        int(index): np.asarray(value)
-        for index, value in (extra_delay or {}).items()
-    }
-    offsets = edge_offsets(circuit)
-    zeros = np.zeros(width)
-    stable: Dict[str, np.ndarray] = {}
-
-    for name in circuit.topological_order:
-        gate = circuit.gates[name]
-        if gate.gate_type is GateType.INPUT or val1[name] == val2[name]:
-            stable[name] = zeros
-            continue
-        base = offsets[name]
-
-        def delay_of(pin: int, _base: int = base) -> np.ndarray:
-            edge_index = _base + pin
-            d = delays[edge_index]
-            if edge_index in extra:
-                d = d + extra[edge_index]
-            return d
-
-        stable[name] = _gate_settle_time(
-            gate.gate_type, gate.fanins, val1, val2, stable.__getitem__, delay_of
-        )
-    recorder = obs.get_recorder()
-    if recorder.enabled:
-        recorder.count("dynamic.transition_sims")
-        recorder.count(
-            "dynamic.net_transitions",
-            sum(1 for name in val1 if val1[name] != val2[name]),
-        )
-    return TransitionSimResult(
-        timing, v1, v2, val1, val2, stable, width, sample_index
     )
 
 
@@ -362,16 +232,14 @@ def resimulate_with_extra(
     ``extra_delay``.  Dictionary builds replay all suspects of one
     pattern at once through :func:`replay_cones` instead.
 
-    When the base carries a compiled-kernel schedule and the compiled
-    kernel is active, the replay runs the cone-restricted slice of that
-    schedule; otherwise the reference per-gate path runs.  Both are
-    bit-identical.
+    The replay runs the cone-restricted slice of the base's compiled
+    schedule, so the base must come from :func:`simulate_transition`: a
+    replay result carries no schedule, and replaying it raises
+    ``TypeError``.
     """
-    if base.kernel_state is not None and active_kernel() == "compiled":
-        from .kernel import resimulate_with_extra_compiled
+    from .kernel import resimulate_with_extra_compiled
 
-        return resimulate_with_extra_compiled(base, extra_delay, affected)
-    return resimulate_with_extra_reference(base, extra_delay, affected)
+    return resimulate_with_extra_compiled(base, extra_delay, affected)
 
 
 def prepare_cones(
@@ -385,35 +253,12 @@ def prepare_cones(
     Returns an object whose ``replay(sizes)`` equals ``replay_cones(base,
     edge_indices, sizes, cones, nets)``, so a caller that replays the
     same copies with many size draws (the sampled dictionary path, once
-    per allocation round) restricts their cones once.  The compiled
-    kernel returns a :class:`repro.timing.kernel.ConeReplay`; otherwise
-    each replay runs the per-copy :func:`resimulate_with_extra` loop.
+    per allocation round) restricts their cones once: a
+    :class:`repro.timing.kernel.ConeReplay`.
     """
-    if base.kernel_state is not None and active_kernel() == "compiled":
-        from .kernel import ConeReplay
+    from .kernel import ConeReplay
 
-        return ConeReplay(base, edge_indices, cones, nets)
-    return _CopyLoop(base, edge_indices, cones, nets)
-
-
-class _CopyLoop:
-    """:func:`prepare_cones` without a compiled schedule: one
-    :func:`resimulate_with_extra` per copy and replay."""
-
-    def __init__(self, base, edge_indices, cones, nets):
-        self.base = base
-        self.copies = list(zip(edge_indices, cones, nets))
-
-    def replay(self, sizes: np.ndarray) -> np.ndarray:
-        sizes = np.asarray(sizes)
-        parts = [np.empty((0, self.base.width))]
-        for copy, (edge_index, cone, group) in enumerate(self.copies):
-            parts.append(resimulate_with_extra(
-                self.base,
-                {int(edge_index): sizes if sizes.ndim == 1 else sizes[copy]},
-                affected=cone,
-            ).settle_rows(group))
-        return np.concatenate(parts)
+    return ConeReplay(base, edge_indices, cones, nets)
 
 
 def replay_cones(
@@ -432,74 +277,8 @@ def replay_cones(
     ``nets[c]`` in copy order into one ``(sum(len(nets[c])), width)``
     array.  Dictionary builders threshold every entry of a pattern column
     in one pass over it; two copies may name the same edge with different
-    sizes (two allocation rounds of one suspect).  The compiled kernel
-    restricts and replays every copy in one level-ordered pass; otherwise
-    each copy runs :func:`resimulate_with_extra`.  Bit-identical to that
-    per-copy loop on either kernel.
+    sizes (two allocation rounds of one suspect).  Every copy is
+    restricted and replayed in one level-ordered pass, bit-identical to
+    the per-copy :func:`resimulate_with_extra` loop.
     """
     return prepare_cones(base, edge_indices, cones, nets).replay(sizes)
-
-
-def resimulate_with_extra_reference(
-    base: TransitionSimResult,
-    extra_delay: ExtraDelay,
-    affected: Optional[Iterable[str]] = None,
-) -> TransitionSimResult:
-    """The reference cone re-simulation behind :func:`resimulate_with_extra`."""
-    timing = base.timing
-    circuit = timing.circuit
-    edges = circuit.edges
-
-    if affected is None:
-        affected = set()
-        for edge_index in extra_delay:
-            affected.update(circuit.fanout_cone(edges[edge_index].sink))
-    elif not isinstance(affected, set):
-        affected = set(affected)
-    if not affected:
-        return base
-    recorder = obs.get_recorder()
-    if recorder.enabled:
-        # The dictionary builder's hottest loop: one resimulation per
-        # (suspect, live pattern).  Guarded so the disabled path costs one
-        # attribute read.
-        recorder.count("dynamic.resimulations")
-        recorder.count("dynamic.nets_recomputed", len(affected))
-
-    delays = (
-        timing.delays
-        if base.sample_index is None
-        else timing.delays[:, base.sample_index : base.sample_index + 1]
-    )
-    offsets = edge_offsets(circuit)
-    zeros = np.zeros(base.width)
-    stable = dict(base.stable)
-    # One conversion per extra edge, not one per recomputed gate: the
-    # dictionary builder passes the same size-sample vector for every
-    # affected gate of every resimulation.
-    extra = {int(index): np.asarray(value) for index, value in extra_delay.items()}
-
-    for name in circuit.topological_order:
-        if name not in affected:
-            continue
-        gate = circuit.gates[name]
-        if gate.gate_type is GateType.INPUT or base.val1[name] == base.val2[name]:
-            stable[name] = zeros
-            continue
-        base_offset = offsets[name]
-
-        def delay_of(pin: int, _base: int = base_offset) -> np.ndarray:
-            edge_index = _base + pin
-            d = delays[edge_index]
-            if edge_index in extra:
-                d = d + extra[edge_index]
-            return d
-
-        stable[name] = _gate_settle_time(
-            gate.gate_type, gate.fanins, base.val1, base.val2,
-            stable.__getitem__, delay_of,
-        )
-    return TransitionSimResult(
-        timing, base.v1, base.v2, base.val1, base.val2, stable, base.width,
-        base.sample_index,
-    )

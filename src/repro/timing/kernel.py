@@ -1,10 +1,9 @@
 """Compiled levelized NumPy kernel for dynamic timing simulation.
 
-The reference kernel in :mod:`repro.timing.dynamic` walks the netlist
-gate-by-gate in Python, with string-keyed dicts and a per-pin closure.  Its
-per-gate decision, however, depends only on the *logic* values of the
-pattern — which are sample-independent — so the whole simulation factors
-into three stages with very different change rates:
+The only evaluator behind :mod:`repro.timing.dynamic`.  The settle rule's
+per-gate decision depends only on the *logic* values of the pattern —
+which are sample-independent — so the whole simulation factors into
+three stages with very different change rates:
 
 1. **Circuit compilation** (once per circuit, :func:`compile_circuit`):
    lower the :class:`~repro.circuits.netlist.Circuit` into flat integer
@@ -13,7 +12,8 @@ into three stages with very different change rates:
    net is a row index in topological order.
 2. **Pattern scheduling** (once per two-vector test, cached per circuit):
    evaluate the logic, classify every transitioning gate as controlled-min
-   or transitioning-max exactly like ``_gate_settle_time``, and emit per
+   or transitioning-max exactly like the reference oracle's
+   ``_gate_settle_time`` (:mod:`repro.timing.reference`), and emit per
    topological level two edge groups (one per reduction kind) laid out for
    ``np.minimum.reduceat`` / ``np.maximum.reduceat``.  The schedule also
    maps every net row to a row of a *compact* settle-time matrix: one
@@ -49,16 +49,17 @@ passes.  A replay whose extra delay sits only on non-candidate pins of
 the pattern (edges missing from the schedule) cannot change a settle
 time, so it reads the base result without touching a cone at all.
 
-Bit-identity with the reference kernel is a hard contract
+Bit-identity with the reference oracle is a hard contract
 (``tests/test_kernel.py``): min/max reductions are exact selections, and
 every floating-point addition here pairs the same operands in the same
 order as the reference closures (``stable[fanin] + (delay + extra)``), so
-the two kernels agree to the last bit, not just to a tolerance.
+the two agree to the last bit, not just to a tolerance.  At most
+:data:`SCHEDULE_CACHE_SIZE` pattern schedules stay cached per circuit and
+:data:`CONE_CACHE_SIZE` one-cone restrictions per schedule (both LRU).
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from collections.abc import Mapping
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -81,17 +82,13 @@ __all__ = [
     "simulate_transition_compiled",
     "resimulate_with_extra_compiled",
     "ConeReplay",
-    "SCHEDULE_CACHE_ENV",
-    "CONE_CACHE_ENV",
 ]
 
-#: Cap on cached pattern schedules per circuit (LRU, env-overridable).
-SCHEDULE_CACHE_ENV = "REPRO_KERNEL_SCHEDULE_CACHE"
-_SCHEDULE_CACHE_DEFAULT = 512
+#: Cap on cached pattern schedules per circuit (LRU).
+SCHEDULE_CACHE_SIZE = 512
 
 #: Cap on cached cone restrictions per pattern schedule (LRU).
-CONE_CACHE_ENV = "REPRO_KERNEL_CONE_CACHE"
-_CONE_CACHE_DEFAULT = 1024
+CONE_CACHE_SIZE = 1024
 
 
 #: Packed two-frame value (``v1 | v2 << 1``) -> did the net toggle?
@@ -104,23 +101,13 @@ def _toggled(values: bytes) -> np.ndarray:
     return (codes & 1) != (codes >> 1)
 
 
-def _cache_cap(env: str, default: int) -> int:
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{env} must be a positive integer, got {value}")
-    return value
-
-
 class StableTimes(Mapping):
     """Mapping view of a compact, read-only settle-time matrix.
 
     ``matrix`` has one row per transitioning gate of the pattern schedule
     (replay order) plus a last, all-zero row that every other net shares;
     ``compact_rows`` maps a net row to its matrix row.  Preserves the
-    ``result.stable[net]`` API of the reference kernel over every net:
+    ``result.stable[net]`` API of a per-net dict over every net:
     indexing returns the net's row, a read-only view.
     """
 
@@ -337,7 +324,7 @@ class PatternSchedule:
     __slots__ = ("compiled", "values", "transitions",
                  "n_net_transitions", "plans", "compact_rows", "all_edges",
                  "all_sources", "group_out", "group_seg", "group_start",
-                 "group_len", "_edge_pos", "_cone_cache", "_cone_cap")
+                 "group_len", "_edge_pos", "_cone_cache")
 
     def __init__(self, compiled, values, plans, compact_rows):
         self.compiled = compiled
@@ -386,7 +373,6 @@ class PatternSchedule:
             self.group_len = empty
         self._edge_pos: Optional[Dict[int, int]] = None
         self._cone_cache: "OrderedDict" = OrderedDict()
-        self._cone_cap = _cache_cap(CONE_CACHE_ENV, _CONE_CACHE_DEFAULT)
 
     # ------------------------------------------------------------------
     @property
@@ -438,7 +424,7 @@ class PatternSchedule:
         # the dense copy tables would only grow the LRU.
         cone.edge_copy = cone.overlay_of = None
         cache[key] = (affected, cone)
-        if len(cache) > self._cone_cap:
+        if len(cache) > CONE_CACHE_SIZE:
             cache.popitem(last=False)
         if recorder.enabled:
             recorder.count("kernel.cone_schedules")
@@ -603,7 +589,7 @@ class CompiledCircuit:
             return schedule
         schedule = self._build_schedule(v1, v2)
         cache[key] = schedule
-        if len(cache) > _cache_cap(SCHEDULE_CACHE_ENV, _SCHEDULE_CACHE_DEFAULT):
+        if len(cache) > SCHEDULE_CACHE_SIZE:
             cache.popitem(last=False)
         if recorder.enabled:
             recorder.count("kernel.schedules_built")
@@ -723,7 +709,7 @@ def _gather_delays(
     The addition pairs operands exactly like the reference ``delay_of``
     closure (``delays[edge] + extra[edge]``) to preserve bit-identity.
     Extra delay on an edge outside the schedule (a non-candidate pin) is
-    ignored, as it is by the reference kernel.
+    ignored, as it is by the reference oracle.
     """
     rows = delays[edges]
     if extra_delay:
@@ -897,8 +883,8 @@ def resimulate_with_extra_compiled(
 
     stable = ConeStableTimes(base_stable, overlay, cone.overlay_rows)
     # ``kernel_state`` stays None: a replay of a replay would need the
-    # overlay folded back into a full matrix; the reference path handles
-    # that rare case instead (bit-identically).
+    # overlay folded back into a full matrix, so it raises TypeError in
+    # ``_compiled_parts`` instead of dropping this replay's extra delay.
     return TransitionSimResult(
         timing,
         base.v1,

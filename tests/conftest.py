@@ -100,9 +100,6 @@ def _isolated_execution_env(monkeypatch):
         "REPRO_RETRY_BACKOFF",
         "REPRO_RETRY_NO_DEGRADE",
         "REPRO_CHAOS",
-        "REPRO_TIMING_KERNEL",
-        "REPRO_KERNEL_SCHEDULE_CACHE",
-        "REPRO_KERNEL_CONE_CACHE",
         "REPRO_SAMPLER",
     ):
         monkeypatch.delenv(variable, raising=False)

@@ -50,31 +50,42 @@ class TestHarnessDeterminism:
 class TestKernelDeterminism:
     """The compiled timing kernel must not perturb the protocol.
 
-    ``REPRO_TIMING_KERNEL`` is a pure performance knob: a full Section I
-    evaluation round under the compiled levelized kernel reproduces the
-    reference (gate-by-gate Python) round record for record, rank for
-    rank.  This is the end-to-end half of the bit-identity contract that
-    ``tests/test_kernel.py`` pins at the simulation level.
+    Every dictionary a full Section I evaluation round builds equals the
+    reference oracle's dictionary from Definition E.1 on the same chip
+    (same patterns, clock, suspects and defect sizes), so every ranking
+    of the round is the oracle's.  This is the end-to-end half of the
+    bit-identity contract that ``tests/test_kernel.py`` pins at the
+    simulation level.
     """
 
     def test_full_evaluate_round_matches_reference_kernel(
         self, bench_timing, monkeypatch
     ):
-        from repro.core import EvaluationConfig, evaluate_circuit
+        from repro.core import EvaluationConfig, evaluate_circuit, evaluation
+        from repro.timing.reference import oracle_dictionary
 
+        trials = []
+
+        def spy(timing, patterns, clk, behavior, size_samples, **kwargs):
+            results, dictionary = run_diagnosis(
+                timing, patterns, clk, behavior, size_samples, **kwargs
+            )
+            trials.append((list(patterns), clk, size_samples, dictionary))
+            return results, dictionary
+
+        run_diagnosis = evaluation.run_diagnosis
+        monkeypatch.setattr(evaluation, "run_diagnosis", spy)
         config = EvaluationConfig(n_trials=2, n_paths=5, seed=9)
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", "reference")
-        reference = evaluate_circuit(bench_timing, config)
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", "compiled")
-        compiled = evaluate_circuit(bench_timing, config)
+        evaluate_circuit(bench_timing, config)
 
-        assert [r.defect_edge for r in reference.records] == [
-            r.defect_edge for r in compiled.records
-        ]
-        assert [r.ranks for r in reference.records] == [
-            r.ranks for r in compiled.records
-        ]
-        assert reference.table() == compiled.table()
+        assert len(trials) == config.n_trials
+        for patterns, clk, sizes, dictionary in trials:
+            m_crt, signatures = oracle_dictionary(
+                bench_timing, patterns, [clk], dictionary.suspects, sizes
+            )
+            assert np.array_equal(dictionary.m_crt, m_crt)
+            for edge, signature in zip(dictionary.suspects, signatures):
+                assert np.array_equal(dictionary.signatures[edge], signature)
 
 
 @pytest.mark.slow

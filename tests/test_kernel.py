@@ -1,12 +1,12 @@
 """Bit-identity suite for the compiled levelized timing kernel.
 
 The compiled kernel (``repro.timing.kernel``) is a pure performance
-transformation of the reference gate-by-gate simulator: every test here
-pins ``np.array_equal`` (not ``allclose``) equality between the two
-kernels — settle times, error vectors, whole fault dictionaries — across
-ISCAS benches, random netlists, the instance (``sample_index``) path and
-every parallel backend.  A kernel that is fast but drifts by one ULP
-fails this file.
+transformation of the reference gate-by-gate simulator, which lives on as
+the test oracle ``repro.timing.reference``: every test here pins
+``np.array_equal`` (not ``allclose``) equality between the two — settle
+times, error vectors, whole fault dictionaries — across ISCAS benches,
+random netlists, the instance (``sample_index``) path and every parallel
+backend.  A kernel that is fast but drifts by one ULP fails this file.
 """
 
 import inspect
@@ -18,19 +18,21 @@ import pytest
 
 from repro import obs
 from repro.circuits import GateType, GeneratorConfig, generate_circuit, load_benchmark
-from repro.core import ParallelConfig, build_dictionary, build_multi_clock_dictionary
+from repro.core import ParallelConfig, build_multi_clock_dictionary
 from repro.timing import (
     CircuitTiming,
     SampleSpace,
-    active_kernel,
     compile_circuit,
     resimulate_with_extra,
-    resimulate_with_extra_reference,
     simulate_transition,
+)
+from repro.timing.dynamic import prepare_cones, replay_cones
+from repro.timing.kernel import ConeReplay, ConeStableTimes, StableTimes
+from repro.timing.reference import (
+    oracle_dictionary,
+    resimulate_with_extra_reference,
     simulate_transition_reference,
 )
-from repro.timing.dynamic import replay_cones
-from repro.timing.kernel import ConeStableTimes, StableTimes
 
 
 def _vectors(circuit, seed, count=1):
@@ -55,28 +57,29 @@ def _assert_same_sim(reference, compiled):
 
 
 # ----------------------------------------------------------------------
-# kernel selection / dispatch
+# dispatch: the compiled kernel only, the oracle by direct import
 # ----------------------------------------------------------------------
 class TestDispatch:
-    def test_compiled_is_the_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TIMING_KERNEL", raising=False)
-        assert active_kernel() == "compiled"
+    def test_compiled_is_the_default(self, small_timing):
+        """Every dispatching entry point runs the compiled kernel."""
+        circuit = small_timing.circuit
+        base = simulate_transition(small_timing, *_vectors(circuit, 0))
+        assert isinstance(base.stable, StableTimes)
+        edge = int(base.kernel_state.all_edges[0])
+        cone = circuit.fanout_cone(circuit.edges[edge].sink)
+        replay = resimulate_with_extra(base, {edge: 0.5}, affected=cone)
+        assert isinstance(replay.stable, ConeStableTimes)
+        assert isinstance(
+            prepare_cones(base, [edge], [cone], [[circuit.edges[edge].sink]]),
+            ConeReplay,
+        )
 
-    def test_env_selects_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", "reference")
-        assert active_kernel() == "reference"
-
-    def test_unknown_kernel_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", "vectorized")
-        with pytest.raises(ValueError, match="REPRO_TIMING_KERNEL"):
-            active_kernel()
-
-    def test_dispatch_reaches_each_kernel(self, c17_timing, monkeypatch):
+    def test_dispatch_reaches_each_kernel(self, c17_timing):
         v1, v2 = _vectors(c17_timing.circuit, 0)
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", "compiled")
         assert simulate_transition(c17_timing, v1, v2).kernel_state is not None
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", "reference")
-        assert simulate_transition(c17_timing, v1, v2).kernel_state is None
+        assert simulate_transition_reference(
+            c17_timing, v1, v2
+        ).kernel_state is None
 
 
 # ----------------------------------------------------------------------
@@ -201,22 +204,28 @@ class TestResimulationIdentical:
         )
         _assert_same_sim(reference, compiled)
 
-    def test_replay_of_replay_falls_back_to_reference_path(self, small_timing):
-        """A compiled replay result carries no schedule; re-resimulating it
-        must still match the reference end to end."""
+    def test_replay_of_replay_raises_type_error(self, small_timing):
+        """A replay result carries no schedule, so replaying it again is a
+        typed error.  Re-simulating a replay would drop the first replay's
+        extra delay (the oracle shows it), so no silent answer is right."""
         v1, v2 = _vectors(small_timing.circuit, 9)
         first = resimulate_with_extra(
             simulate_transition(small_timing, v1, v2), {4: 0.5}
         )
         assert first.kernel_state is None
-        second = resimulate_with_extra(first, {4: 0.5})
-        reference = resimulate_with_extra_reference(
-            resimulate_with_extra_reference(
-                simulate_transition_reference(small_timing, v1, v2), {4: 0.5}
-            ),
-            {4: 0.5},
+        with pytest.raises(TypeError, match="compiled-kernel schedule"):
+            resimulate_with_extra(first, {4: 0.5})
+        once = resimulate_with_extra_reference(
+            simulate_transition_reference(small_timing, v1, v2), {4: 0.5}
         )
-        _assert_same_sim(reference, second)
+        _assert_same_sim(once, resimulate_with_extra_reference(once, {4: 0.5}))
+        total = simulate_transition_reference(
+            small_timing, v1, v2, extra_delay={4: 1.0}
+        )
+        assert any(
+            not np.array_equal(once.stable[net], total.stable[net])
+            for net in small_timing.circuit.topological_order
+        )
 
     def test_base_result_untouched_by_replay(self, small_timing):
         v1, v2 = _vectors(small_timing.circuit, 1)
@@ -261,60 +270,98 @@ def _dictionary_case(timing, seed=0):
     return patterns, clk, list(circuit.edges), sizes
 
 
-def _same_dictionary(a, b):
-    return np.array_equal(a.m_crt, b.m_crt) and all(
-        np.array_equal(a.signatures[e], b.signatures[e]) for e in a.suspects
+def _matches_oracle(dictionary, patterns, clks, suspects, sizes):
+    m_crt, signatures = oracle_dictionary(
+        dictionary.timing, list(patterns), clks, suspects, sizes
+    )
+    return np.array_equal(dictionary.m_crt, m_crt) and all(
+        np.array_equal(dictionary.signatures[edge], signature)
+        for edge, signature in zip(suspects, signatures)
     )
 
 
 class TestDictionaryIdentical:
-    def _build(self, timing, kernel, monkeypatch, multi=False, **kwargs):
+    """Compiled dictionary builds against the oracle's E - M dictionary."""
+
+    def _check(self, timing, multi=False, **kwargs):
         from repro.timing import simulate_pattern_set
 
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", kernel)
         patterns, clk, suspects, sizes = _dictionary_case(timing)
         sims = simulate_pattern_set(timing, list(patterns))
-        if multi:
-            return build_multi_clock_dictionary(
-                timing, patterns, [clk, clk * 1.05], suspects, sizes,
-                base_simulations=sims, **kwargs,
-            )
-        return build_dictionary(
-            timing, patterns, clk, suspects, sizes,
+        clks = [clk, clk * 1.05] if multi else [clk]
+        dictionary = build_multi_clock_dictionary(
+            timing, patterns, clks, suspects, sizes,
             base_simulations=sims, **kwargs,
         )
+        assert _matches_oracle(dictionary, patterns, clks, suspects, sizes)
+        return dictionary
 
-    def test_single_clock(self, small_timing, monkeypatch):
-        reference = self._build(small_timing, "reference", monkeypatch)
-        compiled = self._build(small_timing, "compiled", monkeypatch)
-        assert _same_dictionary(reference, compiled)
+    def test_single_clock(self, small_timing):
+        self._check(small_timing)
 
-    def test_multi_clock(self, small_timing, monkeypatch):
-        reference = self._build(small_timing, "reference", monkeypatch, multi=True)
-        compiled = self._build(small_timing, "compiled", monkeypatch, multi=True)
-        assert _same_dictionary(reference, compiled)
+    def test_multi_clock(self, small_timing):
+        self._check(small_timing, multi=True)
 
     @pytest.mark.slow
-    def test_benchmark_circuit(self, bench_timing, monkeypatch):
-        reference = self._build(bench_timing, "reference", monkeypatch, multi=True)
-        compiled = self._build(bench_timing, "compiled", monkeypatch, multi=True)
-        assert _same_dictionary(reference, compiled)
+    def test_benchmark_circuit(self, bench_timing):
+        self._check(bench_timing, multi=True)
 
     @pytest.mark.slow
-    def test_parallel_backends(self, small_timing, monkeypatch):
-        """Compiled kernel inside thread/process workers == serial reference."""
-        serial = self._build(small_timing, "reference", monkeypatch)
+    def test_parallel_backends(self, small_timing):
+        """Compiled kernel inside thread/process workers == the oracle."""
         for backend in ("thread", "process"):
-            parallel = self._build(
-                small_timing, "compiled", monkeypatch,
+            self._check(
+                small_timing,
                 parallel=ParallelConfig(backend=backend, n_workers=2),
             )
-            assert _same_dictionary(serial, parallel), backend
 
-    def test_signature_storage_invariants(self, small_timing, monkeypatch):
+    def test_strided_path_tests_every_edge_s1196(self):
+        """Full s1196 at 128 samples: path tests from every 173rd edge
+        until 12 patterns, every edge a suspect, clocks ``clk`` and
+        ``1.02 * clk``."""
+        from repro.atpg import generate_path_tests
+        from repro.timing import diagnosis_clock, simulate_pattern_set
+
+        circuit = load_benchmark("s1196", seed=1)
+        timing = CircuitTiming(circuit, SampleSpace(n_samples=128, seed=7))
+        patterns = None
+        for site in circuit.edges[::173]:
+            extra, _paths = generate_path_tests(
+                timing, site, n_paths=4, rng_seed=5
+            )
+            if patterns is None:
+                patterns = extra
+            else:
+                for index in range(len(extra)):
+                    try:
+                        patterns.append(
+                            extra.pairs[index][0],
+                            extra.pairs[index][1],
+                            extra.sources[index],
+                        )
+                    except ValueError:
+                        pass  # duplicate pair
+            if len(patterns) >= 12:
+                break
+        assert len(patterns) >= 12
+        sims = simulate_pattern_set(timing, list(patterns))
+        clk = diagnosis_clock(
+            timing, list(patterns), 0.85,
+            simulations=sims, targets=patterns.target_observations(),
+        )
+        clks = [clk, clk * 1.02]
+        suspects = list(circuit.edges)
+        sizes = np.full(timing.space.n_samples, 0.9)
+        dictionary = build_multi_clock_dictionary(
+            timing, patterns, clks, suspects, sizes, base_simulations=sims,
+        )
+        assert any(signature.any() for signature in dictionary.signatures.values())
+        assert _matches_oracle(dictionary, patterns, clks, suspects, sizes)
+
+    def test_signature_storage_invariants(self, small_timing):
         """Dead suspects share one read-only zero matrix; live suspects get
         private (arena-view) rows that never alias one another."""
-        compiled = self._build(small_timing, "compiled", monkeypatch)
+        compiled = self._check(small_timing)
         live_keys = set()
         for edge in compiled.suspects:
             signature = compiled.signatures[edge]
@@ -433,19 +480,21 @@ class TestStableContainers:
         assert np.array_equal(schedule.transitions, expected)
         assert schedule.n_net_transitions == int(expected.sum())
 
-    def test_transition_matrix_fast_path_matches_fallback(self, small_timing):
+    def test_transition_matrix_matches_oracle_values(self, small_timing):
         from repro.core.dictionary import _transition_matrix
 
         circuit = small_timing.circuit
         pairs = _vectors(circuit, 15, count=3)
         compiled = [simulate_transition(small_timing, v1, v2) for v1, v2 in pairs]
-        reference = [
-            simulate_transition_reference(small_timing, v1, v2)
-            for v1, v2 in pairs
-        ]
+        expected = []
+        for v1, v2 in pairs:
+            oracle = simulate_transition_reference(small_timing, v1, v2)
+            expected.append([
+                oracle.val1[net] != oracle.val2[net]
+                for net in circuit.topological_order
+            ])
         assert np.array_equal(
-            _transition_matrix(circuit, compiled),
-            _transition_matrix(circuit, reference),
+            _transition_matrix(circuit, compiled), np.array(expected)
         )
 
 

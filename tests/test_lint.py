@@ -112,12 +112,29 @@ def test_entry_point_rule_only_applies_in_scope_dirs():
 
 def test_reference_kernel_flagged_outside_timing_and_tests():
     source = (
-        "from repro.timing import simulate_transition_reference\n"
+        "import repro\n"
+        "from repro.timing.reference import simulate_transition_reference\n"
         "result = simulate_transition_reference(timing, v1, v2)\n"
+        "repro.timing.reference.oracle_dictionary(timing, tp, [1.0], [], x)\n"
     )
     findings = lint_source(source, path="src/repro/core/dictionary.py")
-    assert rule_counts(findings) == {"D106": 2}
-    assert "REPRO_TIMING_KERNEL" in findings[0].message
+    assert [(f.rule, f.line) for f in findings] == [("D106", 2), ("D106", 4)]
+    assert "imports the reference timing oracle" in findings[0].message
+    assert "calls the reference timing oracle" in findings[1].message
+
+
+@pytest.mark.parametrize("statement", [
+    "import repro.timing.reference",
+    "import repro.timing.reference as oracle",
+    "from repro.timing import reference",
+    "from ..timing import reference as oracle",
+    "from ..timing.reference import oracle_dictionary",
+])
+def test_oracle_module_import_flagged_outside_timing_and_tests(statement):
+    findings = lint_source(statement + "\n", path="src/repro/__main__.py")
+    assert rule_counts(findings) == {"D106": 1}
+    allowed = statement + "  # repro-lint: allow[D106] runtime oracle proof\n"
+    assert lint_source(allowed, path="src/repro/__main__.py") == []
 
 
 def test_sampling_fixture_flags_unthreaded_generators():
@@ -139,7 +156,7 @@ def test_sampler_rng_rule_only_applies_under_sampling_dirs():
 
 def test_reference_kernel_allowed_in_timing_and_tests():
     source = (
-        "from repro.timing import resimulate_with_extra_reference\n"
+        "from repro.timing.reference import resimulate_with_extra_reference\n"
         "resimulate_with_extra_reference(base, extra)\n"
     )
     assert lint_source(source, path="src/repro/timing/kernel.py") == []

@@ -512,10 +512,32 @@ class TestProfileCommand:
         assert obs.span_tree_depth(metrics) >= 3
         assert metrics["counters"]["cache.hit"] >= 1
         assert metrics["counters"]["cache.miss"] >= 1
-        # the in-command determinism proof: instrumented == uninstrumented
+        # the in-command determinism proofs: instrumented ==
+        # uninstrumented, and the compiled dictionary == the oracle's
         assert metrics["gauges"]["profile.bit_identical"] == 1.0
+        assert metrics["gauges"]["profile.kernels_bit_identical"] == 1.0
         assert manifest["run"]["status"] == "ok"
         assert manifest["run"]["workload"] == "s27"
+
+    def test_oracle_proof_fails_on_a_mutated_compiled_result(
+        self, tmp_path, monkeypatch
+    ):
+        """A drifting compiled replay fails the oracle comparison, and so
+        the command: the runtime proof cannot decay into a no-op."""
+        from repro.timing.kernel import ConeReplay
+
+        replay = ConeReplay.replay
+        # Every replayed entry settles early, so no suspect ever fails.
+        monkeypatch.setattr(
+            ConeReplay, "replay", lambda self, sizes: replay(self, sizes) - 1e3
+        )
+        status, manifest = self._profile(tmp_path)
+        assert status == 1
+        gauges = manifest["metrics"]["gauges"]
+        # Both instrumented and uninstrumented builds drift alike; only
+        # the oracle sees it.
+        assert gauges["profile.bit_identical"] == 1.0
+        assert gauges["profile.kernels_bit_identical"] == 0.0
 
     def test_matches_golden_skeleton(self, tmp_path):
         """Schema/naming drift gate: the manifest *structure* (key names,

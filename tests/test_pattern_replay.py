@@ -28,6 +28,7 @@ from repro.timing import (
     simulate_transition,
 )
 from repro.timing.dynamic import replay_cones, resimulate_with_extra
+from repro.timing.reference import resimulate_with_extra_reference
 
 #: Counters the batch must keep per copy.
 COUNTERS = (
@@ -45,10 +46,11 @@ def _rows(stable, nets):
     return np.stack([stable[net] for net in nets])
 
 
-def _loop_signatures(timing, sims, clocks, suspects, sizes):
-    """One ``resimulate_with_extra`` per (suspect, live pattern) over the
-    builder's own activity plans, thresholded per clock — the plain chunk
-    body before per-pattern batching."""
+def _loop_signatures(timing, sims, clocks, suspects, sizes,
+                     replay=resimulate_with_extra):
+    """One ``replay`` per (suspect, live pattern) over the builder's own
+    activity plans, thresholded per clock — the plain chunk body before
+    per-pattern batching."""
     circuit = timing.circuit
     n_patterns = len(sims)
     transitioned = _transition_matrix(circuit, sims)
@@ -64,7 +66,7 @@ def _loop_signatures(timing, sims, clocks, suspects, sizes):
         signature = np.zeros(m_crt.shape)
         for column, rows, nets in activity:
             stacked = _rows(
-                resimulate_with_extra(
+                replay(
                     sims[column], {timing.edge_index[edge]: sizes},
                     affected=cone,
                 ).stable,
@@ -167,12 +169,17 @@ class TestPlainDictionaryMatchesLoop:
         )
         assert dictionary.signature_stack().tobytes() == chip[6].tobytes()
 
-    def test_reference_kernel(self, chip, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", "reference")
+    def test_reference_kernel(self, chip):
+        """The per-(suspect, pattern) loop through the reference oracle
+        gives the build's bytes."""
+        timing, _patterns, sims, clocks, suspects, sizes = chip[:6]
         with obs.use_recorder(obs.Recorder()) as recorder:
-            dictionary = _build(chip)
-        assert dictionary.signature_stack().tobytes() == chip[6].tobytes()
-        # The reference replay has no candidate-pin shortcut or reductions;
+            oracle = _loop_signatures(
+                timing, sims, clocks, suspects, sizes,
+                replay=resimulate_with_extra_reference,
+            )
+        assert _build(chip).signature_stack().tobytes() == oracle.tobytes()
+        # The oracle replay has no candidate-pin shortcut or reductions;
         # it replays the same (suspect, pattern) pairs.
         assert recorder.counter_value("dynamic.resimulations") == (
             chip[7]["dynamic.resimulations"]
@@ -196,9 +203,13 @@ def _cones_and_copies(timing, sim):
 
 class TestReplayCones:
     @pytest.mark.parametrize("kernel", ["compiled", "reference"])
-    def test_rows_and_counters_equal_per_copy_loop(
-        self, small_timing, monkeypatch, kernel
-    ):
+    def test_rows_and_counters_equal_per_copy_loop(self, small_timing, kernel):
+        """The batch equals a per-copy loop through the compiled replay,
+        counters included, and through the reference oracle."""
+        replay = {
+            "compiled": resimulate_with_extra,
+            "reference": resimulate_with_extra_reference,
+        }[kernel]
         circuit = small_timing.circuit
         rng = np.random.default_rng(4)
         sizes = rng.normal(2.0, 1.0, small_timing.space.n_samples)
@@ -210,26 +221,27 @@ class TestReplayCones:
             )
             for _ in range(4)
         ]
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", kernel)
         for sim in sims:
             edges, cones, nets = _cones_and_copies(small_timing, sim)
             with obs.use_recorder(obs.Recorder()) as loop_recorder:
                 expected = np.concatenate([
-                    _rows(
-                        resimulate_with_extra(
-                            sim, {edge: sizes}, affected=cone
-                        ).stable,
-                        group,
-                    )
+                    _rows(replay(sim, {edge: sizes}, affected=cone).stable,
+                          group)
                     for edge, cone, group in zip(edges, cones, nets)
                 ])
             with obs.use_recorder(obs.Recorder()) as recorder:
                 got = replay_cones(sim, edges, sizes, cones, nets)
             assert got.tobytes() == expected.tobytes()
+            counts = {name: recorder.counter_value(name) for name in COUNTERS}
+            if kernel == "reference":
+                # The oracle replays every copy, skippable pins included.
+                assert loop_recorder.counter_value(
+                    "dynamic.resimulations"
+                ) == (counts["dynamic.resimulations"]
+                      + counts["kernel.replays_skipped"])
+                continue
             for name in COUNTERS:
-                assert recorder.counter_value(name) == (
-                    loop_recorder.counter_value(name)
-                ), name
+                assert counts[name] == loop_recorder.counter_value(name), name
 
     def test_no_copies(self, small_timing):
         circuit = small_timing.circuit

@@ -35,6 +35,7 @@ from repro.timing import (
     simulate_pattern_set,
 )
 from repro.timing.dynamic import resimulate_with_extra
+from repro.timing.reference import resimulate_with_extra_reference
 
 SAMPLERS = {
     "adaptive": SamplerConfig(
@@ -133,11 +134,11 @@ def _rows(stable, nets):
     return np.stack([stable[net] for net in nets])
 
 
-def _sequential_build(case, sampler):
+def _sequential_build(case, sampler, replay=resimulate_with_extra):
     """The sampled chunk body before lockstep allocation: suspect by
     suspect and clock by clock, one cell runs alone to its stopping rule,
-    replaying each (pattern, round) through ``resimulate_with_extra``.
-    Returns the signature stack and the ``sampling_report``."""
+    replaying each (pattern, round) through ``replay``.  Returns the
+    signature stack and the ``sampling_report``."""
     timing, sims, clocks = case["timing"], case["sims"], tuple(case["clocks"])
     circuit = timing.circuit
     n_patterns = len(sims)
@@ -173,7 +174,7 @@ def _sequential_build(case, sampler):
 
             def late(x, clk=clk):
                 return np.concatenate([
-                    _rows(resimulate_with_extra(
+                    _rows(replay(
                         sims[column], {timing.edge_index[edge]: x},
                         affected=cone,
                     ).stable, nets) > clk
@@ -274,9 +275,13 @@ class TestLockstepMatchesSequentialCells:
         ))
         _assert_matches(built, signatures, report)
 
-    def test_reference_kernel(self, case, oracle, monkeypatch):
-        sampler, signatures, report, _counts = oracle
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", "reference")
+    def test_reference_kernel(self, case, oracle):
+        """The sequential cells replaying through the reference oracle
+        give the lockstep build's bytes and report."""
+        sampler = oracle[0]
+        signatures, report = _sequential_build(
+            case, sampler, replay=resimulate_with_extra_reference
+        )
         _assert_matches(_build(case, sampler), signatures, report)
 
 

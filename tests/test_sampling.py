@@ -302,7 +302,7 @@ class TestAllocatorAccuracy:
 class TestReplaySizes:
     """``replay_cones`` over copies of one cone, one size vector each."""
 
-    def _case(self, c17, kernel, monkeypatch):
+    def _case(self, c17):
         from repro.timing import CircuitTiming, SampleSpace, simulate_transition
         from repro.timing.dynamic import replay_cones
 
@@ -313,7 +313,6 @@ class TestReplaySizes:
                 [nets] * n,
             ).reshape(n, len(nets), -1)
 
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", kernel)
         timing = CircuitTiming(c17, SampleSpace(n_samples=50, seed=0))
         n = len(c17.inputs)
         v1, v2 = np.zeros(n, dtype=int), np.ones(n, dtype=int)
@@ -329,29 +328,48 @@ class TestReplaySizes:
         return timing, base, edge_index, vectors, affected, nets, replay_sizes
 
     @pytest.mark.parametrize("kernel", ["reference", "compiled"])
-    def test_batched_matches_per_vector_loop(self, c17, kernel, monkeypatch):
+    def test_batched_matches_per_vector_loop(self, c17, kernel):
+        """Against a per-vector loop through the compiled replay and
+        through the reference oracle."""
         from repro.timing.dynamic import resimulate_with_extra
+        from repro.timing.reference import resimulate_with_extra_reference
 
+        replay = {
+            "compiled": resimulate_with_extra,
+            "reference": resimulate_with_extra_reference,
+        }[kernel]
         (timing, base, edge_index, vectors, affected, nets,
-         replay_sizes) = self._case(c17, kernel, monkeypatch)
+         replay_sizes) = self._case(c17)
         batched = replay_sizes(base, edge_index, vectors, affected, nets)
         assert batched.shape == (len(vectors), len(nets), 50)
         for row, sizes in enumerate(vectors):
-            patched = resimulate_with_extra(
-                base, {edge_index: sizes}, affected=affected
-            )
+            patched = replay(base, {edge_index: sizes}, affected=affected)
             for column, net in enumerate(nets):
                 assert np.array_equal(batched[row, column], patched.stable[net])
 
-    def test_kernels_bit_identical(self, c17, monkeypatch):
-        results = {}
-        for kernel in ("reference", "compiled"):
-            (_, base, edge_index, vectors, affected, nets,
-             replay_sizes) = self._case(c17, kernel, monkeypatch)
-            results[kernel] = replay_sizes(
-                base, edge_index, vectors, affected, nets
-            )
-        assert np.array_equal(results["reference"], results["compiled"])
+    def test_kernels_bit_identical(self, c17):
+        """The batched compiled replay equals oracle replays of an oracle
+        base simulation."""
+        from repro.timing.reference import (
+            resimulate_with_extra_reference,
+            simulate_transition_reference,
+        )
+
+        (timing, base, edge_index, vectors, affected, nets,
+         replay_sizes) = self._case(c17)
+        oracle_base = simulate_transition_reference(timing, base.v1, base.v2)
+        oracle = np.stack([
+            np.stack([
+                resimulate_with_extra_reference(
+                    oracle_base, {edge_index: sizes}, affected=affected
+                ).stable[net]
+                for net in nets
+            ])
+            for sizes in vectors
+        ])
+        assert np.array_equal(
+            oracle, replay_sizes(base, edge_index, vectors, affected, nets)
+        )
 
 
 # ----------------------------------------------------------------------

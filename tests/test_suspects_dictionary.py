@@ -19,6 +19,10 @@ from repro.timing import (
     simulate_transition,
 )
 from repro.timing.dynamic import replay_cones
+from repro.timing.reference import (
+    oracle_dictionary,
+    resimulate_with_extra_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -221,9 +225,10 @@ class TestDictionaryOracle:
     @pytest.mark.parametrize("kernel", ["compiled", "reference"])
     @pytest.mark.parametrize("circuit_name", ["c17", "s27", "small_synth"])
     def test_signatures_match_full_resimulation(
-        self, request, monkeypatch, kernel, circuit_name
+        self, request, kernel, circuit_name
     ):
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", kernel)
+        """``compiled``: against full compiled simulations of each
+        defective circuit; ``reference``: against the oracle dictionary."""
         circuit = request.getfixturevalue(circuit_name)
         timing = CircuitTiming(circuit, SampleSpace(n_samples=48, seed=3))
         patterns = _random_pairs(circuit, 11, 6)
@@ -234,43 +239,48 @@ class TestDictionaryOracle:
             timing, patterns, clocks, list(circuit.edges), sizes,
             base_simulations=sims,
         )
-        m_crt = np.concatenate(
-            [
-                np.stack([sim.error_vector(clk) for sim in sims], axis=1)
-                for clk in clocks
-            ],
-            axis=1,
-        )
-        assert np.array_equal(dictionary.m_crt, m_crt)
-        for index, edge in enumerate(circuit.edges):
-            defective = [
-                simulate_transition(timing, v1, v2, extra_delay={index: sizes})
-                for v1, v2 in patterns
-            ]
-            e_crt = np.concatenate(
+
+        def error_matrix(simulations):
+            return np.concatenate(
                 [
                     np.stack(
-                        [sim.error_vector(clk) for sim in defective], axis=1
+                        [sim.error_vector(clk) for sim in simulations], axis=1
                     )
                     for clk in clocks
                 ],
                 axis=1,
             )
-            assert np.array_equal(dictionary.signatures[edge], e_crt - m_crt), edge
+
+        if kernel == "reference":
+            m_crt, signatures = oracle_dictionary(
+                timing, patterns, clocks, list(circuit.edges), sizes
+            )
+        else:
+            m_crt = error_matrix(sims)
+            signatures = [
+                error_matrix([
+                    simulate_transition(timing, v1, v2, extra_delay={index: sizes})
+                    for v1, v2 in patterns
+                ]) - m_crt
+                for index in range(len(circuit.edges))
+            ]
+        assert np.array_equal(dictionary.m_crt, m_crt)
+        for edge, signature in zip(circuit.edges, signatures):
+            assert np.array_equal(dictionary.signatures[edge], signature), edge
 
     @pytest.mark.parametrize("kernel", ["compiled", "reference"])
     def test_replay_sizes_identical_on_non_candidate_edges(
-        self, monkeypatch, small_timing, kernel
+        self, small_timing, kernel
     ):
+        """A replay on a pin outside the schedule reproduces the base rows:
+        through the batched compiled replay, and through the oracle."""
         circuit = small_timing.circuit
         sizes = _adversarial_sizes(small_timing.space.n_samples)
-        # Compiled bases carry the schedule that names the candidate pins;
-        # the kernel under test then runs the replays.
+        # Compiled bases carry the schedule that names the candidate pins.
         compiled = [
             simulate_transition(small_timing, v1, v2)
             for v1, v2 in _random_pairs(circuit, 5, 4)
         ]
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", kernel)
         checked = 0
         for sim in compiled:
             candidates = sim.kernel_state.edge_pos
@@ -281,10 +291,21 @@ class TestDictionaryOracle:
                 nets = [net for net in cone if net in circuit.outputs] + [
                     edge.sink
                 ]
-                replayed = replay_cones(
-                    sim, [index, index], np.stack([sizes, 2 * sizes]),
-                    [cone, cone], [nets, nets],
-                ).reshape(2, len(nets), -1)
+                if kernel == "reference":
+                    replayed = [
+                        np.stack([
+                            resimulate_with_extra_reference(
+                                sim, {index: x}, affected=cone
+                            ).stable[net]
+                            for net in nets
+                        ])
+                        for x in (sizes, 2 * sizes)
+                    ]
+                else:
+                    replayed = replay_cones(
+                        sim, [index, index], np.stack([sizes, 2 * sizes]),
+                        [cone, cone], [nets, nets],
+                    ).reshape(2, len(nets), -1)
                 base_rows = np.stack([sim.stable[net] for net in nets])
                 assert np.array_equal(replayed[0], base_rows)
                 assert np.array_equal(replayed[1], base_rows)
