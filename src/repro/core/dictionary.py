@@ -7,7 +7,7 @@ for every suspect fault ``i`` it holds the signature probability matrix
 
 the suspect's *additional contribution* to each output/pattern critical
 probability.  Construction cost is dominated by the per-suspect dynamic
-re-simulations; three structural facts keep it tractable:
+re-simulations; four structural facts keep it tractable:
 
 * logic values never change under a delay defect, so only settle times in
   the suspect edge's fanout cone need re-evaluation
@@ -15,6 +15,11 @@ re-simulations; three structural facts keep it tractable:
 * a suspect can only affect patterns that launch a transition through its
   edge, and only outputs in its fanout cone — other entries are copied
   from ``M_crt`` without simulation,
+* within that cone a replay recomputes only the *live* gates: those the
+  suspect edge reaches through recomputed drivers and that reach an entry
+  the build reads.  Any other gate re-reduces its base operands, so it
+  equals its base row bit for bit, or is never read
+  (:class:`repro.timing.kernel.ConeReplay`),
 * settle times are min/max-plus functions of the edge delays, so adding
   ``x(s)`` to one edge moves every settle time by at most ``|x(s)|``, in
   the direction of ``x(s)`` (the 1-Lipschitz crossing bound).  An output
@@ -449,8 +454,11 @@ def _sampled_signatures_for_chunk(
     sizes.  Each cell joins its parts in its own activity order, commits,
     and leaves the active set once it stops.  A column's copies change
     only when one of its cells stops, so its restriction is prepared once
-    per active set.  Every cell sees exactly the draws, replayed entries
-    and commits of a cell run alone, so lockstep never changes a bit.
+    and then sliced (:meth:`~repro.timing.kernel.ConeReplay.slice`): the
+    stopped cell's copies drop out of the plan, which equals a fresh
+    restriction of the remaining copies.  Every cell sees exactly the
+    draws, replayed entries and commits of a cell run alone, so lockstep
+    never changes a bit.
     Fixed-round ``is`` cells draw all their rounds up front with the
     initial proposal: one step, one copy per round.
 
@@ -498,23 +506,18 @@ def _sampled_signatures_for_chunk(
             for slot, k in enumerate(live)
         ]
         active = list(range(len(live)))
-        # Column -> (its active copies, their prepared replay), rebuilt
-        # only for the columns a stopped cell leaves.
+        # Column -> (its active copies, their prepared replay); a stopped
+        # cell's copies are sliced out of its columns' plans.
         replays: Dict[int, Tuple[List[Tuple], object]] = {}
+        for column in columns:
+            _slots, edges, cones, nets = (
+                [item for item in field for _ in range(per_step)]
+                for field in zip(*members[column])
+            )
+            replays[column] = (members[column], prepare_cones(
+                job.base_simulations[column], edges, cones, nets
+            ))
         while active:
-            alive = set(active)
-            for column in columns:
-                copies = [copy for copy in members[column] if copy[0] in alive]
-                if not copies:
-                    replays.pop(column, None)
-                elif len(replays.get(column, ((),))[0]) != len(copies):
-                    _slots, edges, cones, nets = (
-                        [item for item in field for _ in range(per_step)]
-                        for field in zip(*copies)
-                    )
-                    replays[column] = (copies, prepare_cones(
-                        job.base_simulations[column], edges, cones, nets
-                    ))
             draws = {
                 slot: [
                     cells[slot].draw(cells[slot].rounds + r)
@@ -538,6 +541,17 @@ def _sampled_signatures_for_chunk(
             active = [] if fixed else [
                 slot for slot in active if not cells[slot].should_stop()
             ]
+            alive = set(active)
+            for column, (copies, prepared) in list(replays.items()):
+                keep = [i for i, copy in enumerate(copies) if copy[0] in alive]
+                if not keep:
+                    del replays[column]
+                elif len(keep) < len(copies):
+                    kept = [i * per_step + r for i in keep
+                            for r in range(per_step)]
+                    replays[column] = (
+                        [copies[i] for i in keep], prepared.slice(kept)
+                    )
         for slot, cell in enumerate(cells):
             rows, cols = entries[slot]
             cols = clk_index * len(job.base_simulations) + cols

@@ -226,11 +226,13 @@ def resimulate_with_extra(
     must be a full-width simulation of the same timing model.
 
     ``affected`` optionally supplies that cone union precomputed, so a
-    caller that replays one suspect many times amortizes the cone
-    traversal, and the compiled kernel's cone restriction, across all of
-    them.  It must cover (at least) the fanout cones of every edge in
-    ``extra_delay``.  Dictionary builds replay all suspects of one
-    pattern at once through :func:`replay_cones` instead.
+    caller that replays one suspect many times skips the cone traversal;
+    the cone is restricted afresh on every call.  It must cover (at least)
+    the fanout cones of every edge in ``extra_delay``.  Every net of the
+    cone is recomputed, since the result answers ``stable[net]`` for any
+    of them.  Dictionary builds replay all suspects of one pattern at once
+    through :func:`replay_cones` instead, which recomputes only what the
+    requested rows read.
 
     The replay runs the cone-restricted slice of the base's compiled
     schedule, so the base must come from :func:`simulate_transition`: a
@@ -253,7 +255,8 @@ def prepare_cones(
     Returns an object whose ``replay(sizes)`` equals ``replay_cones(base,
     edge_indices, sizes, cones, nets)``, so a caller that replays the
     same copies with many size draws (the sampled dictionary path, once
-    per allocation round) restricts their cones once: a
+    per allocation round) restricts their cones once, and whose
+    ``slice(keep)`` drops copies without restricting again: a
     :class:`repro.timing.kernel.ConeReplay`.
     """
     from .kernel import ConeReplay
@@ -278,7 +281,8 @@ def replay_cones(
     array.  Dictionary builders threshold every entry of a pattern column
     in one pass over it; two copies may name the same edge with different
     sizes (two allocation rounds of one suspect).  Every copy is
-    restricted and replayed in one level-ordered pass, bit-identical to
-    the per-copy :func:`resimulate_with_extra` loop.
+    restricted, cut to the gates that can change a requested row, and
+    replayed in one level-ordered pass, bit-identical to the per-copy
+    :func:`resimulate_with_extra` loop.
     """
     return prepare_cones(base, edge_indices, cones, nets).replay(sizes)

@@ -38,24 +38,28 @@ reduction per plan replays every copy.  Both dictionary builders replay
 all live suspects of a pattern that way in one pass
 (:class:`ConeReplay`): a suspect's cone is ~12 edges over ~6
 levels, so a per-suspect replay is bound by per-call numpy overhead, not
-arithmetic.  Each copy takes its own size vector when the sizes come one
-row per copy, so the sampled builder replays one allocation round of
-every active suspect in the same pass, and keeps the restriction
-between rounds while the column's copies stay the same.
-The one-copy case (:meth:`PatternSchedule.cone_for`) serves
-:func:`resimulate_with_extra_compiled`; it is cached per schedule, keyed
-by the identity of the (read-only, memoized) cone list the caller
-passes.  A replay whose extra delay sits only on non-candidate pins of
-the pattern (edges missing from the schedule) cannot change a settle
-time, so it reads the base result without touching a cone at all.
+arithmetic.  A :class:`ConeReplay` also knows each copy's suspect edge
+and the settle rows its caller reads, so it keeps only the *live* part of
+every cone: gates the suspect edge reaches through recomputed drivers and
+that reach a requested row.  Every other gate of the cone would re-reduce
+its base operands or never be read.  Each copy takes its own size vector
+when the sizes come one row per copy, so the sampled builder replays one
+allocation round of every active suspect in the same pass; it keeps the
+restriction between rounds and slices stopped copies out of it
+(:meth:`ConeReplay.slice`) instead of restricting again.  The one-copy,
+uncut case serves :func:`resimulate_with_extra_compiled`, which returns
+every net of the cone.  A replay whose extra delay sits only on
+non-candidate pins of the pattern (edges missing from the schedule)
+cannot change a settle time, so it reads the base result without
+touching a cone at all.
 
 Bit-identity with the reference oracle is a hard contract
 (``tests/test_kernel.py``): min/max reductions are exact selections, and
 every floating-point addition here pairs the same operands in the same
 order as the reference closures (``stable[fanin] + (delay + extra)``), so
 the two agree to the last bit, not just to a tolerance.  At most
-:data:`SCHEDULE_CACHE_SIZE` pattern schedules stay cached per circuit and
-:data:`CONE_CACHE_SIZE` one-cone restrictions per schedule (both LRU).
+:data:`SCHEDULE_CACHE_SIZE` pattern schedules stay cached per circuit
+(LRU); cone restrictions are not cached.
 """
 
 from __future__ import annotations
@@ -86,9 +90,6 @@ __all__ = [
 
 #: Cap on cached pattern schedules per circuit (LRU).
 SCHEDULE_CACHE_SIZE = 512
-
-#: Cap on cached cone restrictions per pattern schedule (LRU).
-CONE_CACHE_SIZE = 1024
 
 
 #: Packed two-frame value (``v1 | v2 << 1``) -> did the net toggle?
@@ -238,43 +239,54 @@ class _ConeSchedule:
     Each cone is a *copy*: copy ``c`` recomputes the transitioning gates of
     its own cone into its own overlay rows, reading its own recomputed
     drivers, so copies that overlap never see each other's rows.  Kept
-    (copy, group) pairs are ordered by (plan, min-before-max, copy, group):
-    one step per plan reduces every copy's groups at once, with one
-    negation prefix covering all of their min groups.  With one copy that
-    order is the plain group (replay) order.
+    (copy, group) *pairs* are ordered by (plan, min-before-max, copy,
+    group): one step per plan reduces every copy's groups at once, with
+    one negation prefix covering all of their min groups.  With one copy
+    that order is the plain group (replay) order.  Pair ``p`` writes
+    overlay row ``p``.
 
-    ``steps`` holds per-plan tuples
+    Per pair: ``pair_copy``, ``pair_seg`` (the group's
+    :attr:`PatternSchedule.group_seg`), ``lens`` (its edge count) and
+    ``out_rows`` (its gate's net row).  Per edge, pair-major: ``edges``,
+    ``sources`` (compact rows), ``edge_copy`` and ``inside`` (the overlay
+    row of the driver when the same copy recomputes it, else -1: read the
+    base row).  ``overlay_of[c, r]`` is copy ``c``'s overlay row for
+    compact row ``r``, -1 when the copy does not recompute it.
+
+    :meth:`select` drops pairs (and copies) without restricting again:
+    the order of what stays is the order a fresh restriction would give.
+    ``steps`` (built on first use) holds per-plan tuples
     ``(lo, hi, starts, inside_pos, inside_src, out_lo, out_hi, neg_rows,
-    neg_groups)``: ``lo:hi`` slices the concatenated ``edges``/``sources``,
-    ``inside_pos`` marks candidate rows whose driver was itself recomputed
-    in the same copy (at a lower level) and must be re-summed from the
-    overlay rows in ``inside_src``, ``out_lo:out_hi`` is the (contiguous)
-    overlay destination, and the leading ``neg_rows`` rows /
-    ``neg_groups`` groups are the fused min reductions (see
-    :class:`_GroupPlan`).  The copy tables ``edge_copy`` (the copy of
-    every edge row) and ``overlay_of`` (``overlay_of[c, r]`` is copy
-    ``c``'s overlay row for compact row ``r``, -1 when the copy does not
-    recompute it) are ``None`` on the one-copy slices
-    :meth:`PatternSchedule.cone_for` caches.
+    neg_groups)``: ``lo:hi`` slices the edge arrays, ``inside_pos`` marks
+    the rows to re-sum from the overlay rows ``inside_src``,
+    ``out_lo:out_hi`` is the (contiguous) overlay destination, and the
+    leading ``neg_rows`` rows / ``neg_groups`` groups are the fused min
+    reductions (see :class:`_GroupPlan`).
     """
 
-    __slots__ = ("edges", "sources", "edge_copy", "steps", "n_overlay",
-                 "overlay_of", "out_rows", "net_names", "_overlay_rows",
-                 "_edge_pos")
+    __slots__ = ("edges", "sources", "edge_copy", "inside", "pair_copy",
+                 "pair_seg", "lens", "out_rows", "overlay_of", "net_names",
+                 "_steps", "_overlay_rows")
 
-    def __init__(self, edges, sources, edge_copy, steps, overlay_of,
-                 out_rows, net_names):
+    def __init__(self, edges, sources, edge_copy, inside, pair_copy,
+                 pair_seg, lens, out_rows, overlay_of, net_names):
         self.edges = edges
         self.sources = sources
         self.edge_copy = edge_copy
-        self.steps = steps
-        self.n_overlay = len(out_rows)
-        self.overlay_of = overlay_of
+        self.inside = inside
+        self.pair_copy = pair_copy
+        self.pair_seg = pair_seg
+        self.lens = lens
         #: net row of every overlay row.
         self.out_rows = out_rows
+        self.overlay_of = overlay_of
         self.net_names = net_names
+        self._steps = None
         self._overlay_rows: Optional[Dict[str, int]] = None
-        self._edge_pos: Optional[Dict[int, int]] = None
+
+    @property
+    def n_overlay(self) -> int:
+        return len(self.out_rows)
 
     @property
     def overlay_rows(self) -> Dict[str, int]:
@@ -289,17 +301,121 @@ class _ConeSchedule:
             }
         return rows
 
+    def _plans(self) -> Tuple[np.ndarray, List[Tuple[int, int, int, int]]]:
+        """Each pair's first edge, and per plan ``(s, e, lo, hi)``: its
+        pairs ``s:e`` and their edges ``lo:hi``."""
+        lens = self.lens
+        starts = np.zeros(len(lens), dtype=np.int64)
+        np.cumsum(lens[:-1], out=starts[1:])
+        bounds = np.flatnonzero(np.diff(self.pair_seg >> 1)) + 1
+        seg_lo = np.concatenate(([0], bounds))
+        seg_hi = np.concatenate((bounds, [len(lens)]))
+        edge_lo = starts[seg_lo]
+        edge_hi = starts[seg_hi - 1] + lens[seg_hi - 1]
+        return starts, list(zip(seg_lo.tolist(), seg_hi.tolist(),
+                                edge_lo.tolist(), edge_hi.tolist()))
+
     @property
-    def edge_pos(self) -> Dict[int, int]:
-        """Edge index -> row in ``edges`` of a one-copy restriction (built
-        on first use; an edge is one (sink, pin) pair so it appears at most
-        once per cone)."""
-        pos = self._edge_pos
-        if pos is None:
-            pos = self._edge_pos = {
-                int(edge): index for index, edge in enumerate(self.edges)
-            }
-        return pos
+    def steps(self) -> List[Tuple]:
+        """The per-plan replay steps (see the class docstring)."""
+        steps = self._steps
+        if steps is not None:
+            return steps
+        steps = self._steps = []
+        if not len(self.lens):
+            return steps
+        starts, plans = self._plans()
+        lens = self.lens
+        # Within a plan every copy's min groups precede every max group;
+        # running counts of min groups/rows give each step its negation
+        # boundary.
+        neg_flags = (self.pair_seg & 1) == 0
+        neg_group_cum = np.concatenate(([0], np.cumsum(neg_flags)))
+        neg_row_cum = np.concatenate(([0], np.cumsum(lens * neg_flags)))
+        inside_all = np.flatnonzero(self.inside >= 0)
+        inside_src_all = self.inside[inside_all]
+        for s, e, lo, hi in plans:
+            i0, i1 = np.searchsorted(inside_all, [lo, hi])
+            if i1 > i0:
+                inside_pos = inside_all[i0:i1]
+                inside_src = inside_src_all[i0:i1]
+            else:
+                inside_pos = None
+                inside_src = None
+            steps.append((
+                lo,
+                hi,
+                starts[s:e] - lo,
+                inside_pos,
+                inside_src,
+                s,
+                e,
+                int(neg_row_cum[e] - neg_row_cum[s]),
+                int(neg_group_cum[e] - neg_group_cum[s]),
+            ))
+        return steps
+
+    def live(self, hits: np.ndarray, entries: Tuple[np.ndarray, np.ndarray]
+             ) -> np.ndarray:
+        """Bool per pair: can it differ from the base *and* reach a
+        requested entry?
+
+        ``hits[c]`` is the edge that takes copy ``c``'s extra delay and
+        ``entries`` the ``(copy, compact row)`` pairs its caller reads.  A
+        pair the hit edge does not reach through recomputed drivers
+        re-reduces exactly the base operands, so it equals its base row
+        bit for bit; a pair no requested entry reads through recomputed
+        drivers is never read.  Drivers sit in strictly earlier plans, so
+        one forward and one backward sweep over the plans settle both.
+        """
+        n = len(self.lens)
+        starts, plans = self._plans()
+        inside = self.inside
+        hit = self.edges == hits[self.edge_copy]
+        # Index -1 (a base driver) reads the trailing False slot.
+        reached = np.zeros(n + 1, dtype=bool)
+        for s, e, lo, hi in plans:
+            reached[s:e] = np.logical_or.reduceat(
+                hit[lo:hi] | reached[inside[lo:hi]], starts[s:e] - lo
+            )
+        needed = np.zeros(n + 1, dtype=bool)
+        needed[self.overlay_of[entries]] = True
+        needed[n] = False
+        edge_pair = np.repeat(np.arange(n, dtype=np.int64), self.lens)
+        for s, e, lo, hi in reversed(plans):
+            needed[inside[lo:hi][needed[edge_pair[lo:hi]]]] = True
+            needed[n] = False
+        return (reached & needed)[:n]
+
+    def select(self, keep: np.ndarray,
+               copies: Optional[np.ndarray] = None) -> "_ConeSchedule":
+        """The pairs ``keep`` (bool per pair) of this plan, in the same
+        order; ``copies`` (ascending, covering every kept pair's copy)
+        renumbers the copies to their positions in it.
+
+        A recomputed driver that is dropped is read from the base row,
+        which is only exact when it equals the base (see :meth:`live`).
+        """
+        overlay_of = self.overlay_of
+        pair_copy = self.pair_copy
+        edge_copy = self.edge_copy
+        if copies is not None:
+            renumber = np.full(len(overlay_of), -1, dtype=np.int64)
+            renumber[copies] = np.arange(len(copies), dtype=np.int64)
+            pair_copy = renumber[pair_copy]
+            edge_copy = renumber[edge_copy]
+            overlay_of = overlay_of[copies]
+        # Old overlay row -> new one; index -1 reads the trailing -1.
+        remap = np.full(len(keep) + 1, -1, dtype=np.int64)
+        kept = np.flatnonzero(keep)
+        remap[kept] = np.arange(len(kept), dtype=np.int64)
+        edge_keep = np.repeat(keep, self.lens)
+        return _ConeSchedule(
+            self.edges[edge_keep], self.sources[edge_keep],
+            edge_copy[edge_keep], remap[self.inside[edge_keep]],
+            pair_copy[kept], self.pair_seg[kept], self.lens[kept],
+            self.out_rows[kept], remap[overlay_of], self.net_names,
+        )
 
 
 class PatternSchedule:
@@ -324,7 +440,7 @@ class PatternSchedule:
     __slots__ = ("compiled", "values", "transitions",
                  "n_net_transitions", "plans", "compact_rows", "all_edges",
                  "all_sources", "group_out", "group_seg", "group_start",
-                 "group_len", "_edge_pos", "_cone_cache")
+                 "group_len", "_edge_pos")
 
     def __init__(self, compiled, values, plans, compact_rows):
         self.compiled = compiled
@@ -372,7 +488,6 @@ class PatternSchedule:
             self.group_start = empty
             self.group_len = empty
         self._edge_pos: Optional[Dict[int, int]] = None
-        self._cone_cache: "OrderedDict" = OrderedDict()
 
     # ------------------------------------------------------------------
     @property
@@ -400,39 +515,22 @@ class PatternSchedule:
             }
         return pos
 
-    def cone_for(self, affected: Iterable[str]) -> _ConeSchedule:
-        """The schedule slice recomputing (at most) ``affected``, cached.
-
-        The one-copy case of :meth:`restrict`, keyed by the identity of
-        ``affected`` when it is reused verbatim across calls — callers
-        that pass the memoized ``Circuit.fanout_cone`` list for every
-        replay of a cone hit in one dict probe.  The cache holds a strong
-        reference to the keyed object (no id recycling); callers must
-        treat ``affected`` as immutable once passed.
-        """
-        cache = self._cone_cache
-        key = id(affected)
-        entry = cache.get(key)
-        recorder = obs.get_recorder()
-        if entry is not None and entry[0] is affected:
-            cache.move_to_end(key)
-            if recorder.enabled:
-                recorder.count("kernel.cone_reuse")
-            return entry[1]
-        cone = self.restrict([affected])
-        # Cached slices are read by name (``overlay_rows``/``edge_pos``);
-        # the dense copy tables would only grow the LRU.
-        cone.edge_copy = cone.overlay_of = None
-        cache[key] = (affected, cone)
-        if len(cache) > CONE_CACHE_SIZE:
-            cache.popitem(last=False)
-        if recorder.enabled:
-            recorder.count("kernel.cone_schedules")
-        return cone
-
-    def restrict(self, cones: Sequence[Sequence[str]]) -> _ConeSchedule:
+    def restrict(
+        self,
+        cones: Sequence[Sequence[str]],
+        hits: Optional[Sequence[int]] = None,
+        entries: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> _ConeSchedule:
         """The schedule slices recomputing each of ``cones``, one copy per
-        cone, in one vectorized pass (see :class:`_ConeSchedule`)."""
+        cone, in one vectorized pass (see :class:`_ConeSchedule`).
+
+        With ``hits`` (the edge that takes copy ``c``'s extra delay) and
+        ``entries`` (the ``(copy, compact row)`` pairs its caller reads),
+        only the live pairs are kept (:meth:`_ConeSchedule.live`): a cut
+        pair either equals its base row bit for bit or is never read.
+        Liveness is decided per copy, so a :meth:`_ConeSchedule.select`
+        of some copies is exactly the cut of those copies alone.
+        """
         compiled = self.compiled
         net_rows = compiled.net_rows
         n_groups = self.n_groups
@@ -453,16 +551,12 @@ class PatternSchedule:
         order = np.argsort(self.group_seg[group], kind="stable")
         copy = copy[order]
         group = group[order]
-        empty = np.empty(0, dtype=np.int64)
-        overlay_of = np.full((n_copies, n_groups + 1), -1, dtype=np.int64)
-        if not group.size:
-            return _ConeSchedule(empty, empty, empty, [], overlay_of, empty,
-                                 compiled.net_names)
         n_kept = len(group)
         # (copy, compact row) -> overlay row.  Each copy's groups keep
         # their replay order, so a recomputed source (strictly lower level,
         # hence an earlier plan) is always assigned before any group that
         # reads it — a single global pass suffices.
+        overlay_of = np.full((n_copies, n_groups + 1), -1, dtype=np.int64)
         overlay_of[copy, group] = np.arange(n_kept, dtype=np.int64)
         lens = self.group_len[group]
         new_starts = np.zeros(n_kept, dtype=np.int64)
@@ -472,53 +566,22 @@ class PatternSchedule:
         # group_start[group[k]] + j.
         take = np.repeat(self.group_start[group] - new_starts, lens)
         take += np.arange(len(take), dtype=np.int64)
-        edges = self.all_edges[take]
         sources = self.all_sources[take]
         edge_copy = np.repeat(copy, lens)
-        source_overlay = overlay_of[edge_copy, sources]
-        inside_all = np.flatnonzero(source_overlay >= 0)
-        inside_src_all = source_overlay[inside_all]
-
-        # Split the kept pairs into steps wherever the owning plan changes.
-        # Within a plan every copy's min groups precede every max group;
-        # running counts of min groups/rows give each step its negation
-        # boundary.
-        seg = self.group_seg[group]
-        neg_flags = (seg & 1) == 0
-        neg_group_cum = np.concatenate(([0], np.cumsum(neg_flags)))
-        neg_row_cum = np.concatenate(([0], np.cumsum(lens * neg_flags)))
-        bounds = np.flatnonzero(np.diff(seg >> 1)) + 1
-        seg_lo = np.concatenate(([0], bounds))
-        seg_hi = np.concatenate((bounds, [n_kept]))
-        steps = []
-        for s, e in zip(seg_lo, seg_hi):
-            lo = int(new_starts[s])
-            hi = int(new_starts[e - 1] + lens[e - 1])
-            i0, i1 = np.searchsorted(inside_all, [lo, hi])
-            if i1 > i0:
-                inside_pos = inside_all[i0:i1]
-                inside_src = inside_src_all[i0:i1]
-            else:
-                inside_pos = None
-                inside_src = None
-            steps.append((
-                lo,
-                hi,
-                new_starts[s:e] - lo,
-                inside_pos,
-                inside_src,
-                int(s),
-                int(e),
-                int(neg_row_cum[e] - neg_row_cum[s]),
-                int(neg_group_cum[e] - neg_group_cum[s]),
-            ))
-        return _ConeSchedule(edges, sources, edge_copy, steps, overlay_of,
-                             self.group_out[group], compiled.net_names)
+        cone = _ConeSchedule(
+            self.all_edges[take], sources, edge_copy,
+            overlay_of[edge_copy, sources], copy, self.group_seg[group],
+            lens, self.group_out[group], overlay_of, compiled.net_names,
+        )
+        if hits is None or not n_kept:
+            return cone
+        live = cone.live(np.asarray(hits, dtype=np.int64), entries)
+        return cone if live.all() else cone.select(live)
 
     # ------------------------------------------------------------------
     def __getstate__(self):
-        # Cone restrictions and the edge-position index are cheap to
-        # rebuild and access-pattern specific; keep worker pickles lean.
+        # The edge-position index is cheap to rebuild; keep worker
+        # pickles lean.
         return (self.compiled, self.values, self.plans, self.compact_rows)
 
     def __setstate__(self, state):
@@ -863,17 +926,16 @@ def resimulate_with_extra_compiled(
     if recorder.enabled:
         recorder.count("dynamic.resimulations")
         recorder.count("dynamic.nets_recomputed", len(affected))
+        recorder.count("kernel.cone_schedules")
 
-    cone = schedule.cone_for(affected)
+    cone = schedule.restrict([affected])
     overlay = np.empty((cone.n_overlay, base.width))
-    if cone.steps:
+    if cone.n_overlay:
         dl = _replay_delays(base)[cone.edges]
-        if extra_delay:
-            edge_pos = cone.edge_pos
-            for edge_index, value in extra_delay.items():
-                pos = edge_pos.get(int(edge_index))
-                if pos is not None:
-                    dl[pos] = dl[pos] + np.asarray(value)
+        for edge_index, value in extra_delay.items():
+            # An edge is one (sink, pin) pair: at most one row of a cone.
+            pos = np.flatnonzero(cone.edges == int(edge_index))
+            dl[pos] = dl[pos] + np.asarray(value)
         # Candidate rows for the whole cone in one shot.
         rows = base_stable.matrix[cone.sources]
         rows += dl
@@ -901,25 +963,31 @@ class ConeReplay:
     """One pattern's replays for many suspect edges, in one pass.
 
     Copy ``c`` adds a size vector to edge ``edge_indices[c]`` and
-    recomputes ``cones[c]``; :meth:`replay` returns the settle rows of
-    every ``nets[c]``, stacked in copy order.  Every copy is restricted
-    in one :meth:`PatternSchedule.restrict` call when the object is built
-    and all of them replay in one level-ordered pass per :meth:`replay`,
-    so the per-call numpy overhead is paid per plan instead of per (copy,
-    plan), and a caller that replays the same copies with fresh sizes
-    (the sampled dictionary path, once per allocation round) restricts
-    once.  Each overlay entry is the same reduction over the same
+    recomputes (the live part of) ``cones[c]``; :meth:`replay` returns the
+    settle rows of every ``nets[c]``, stacked in copy order.  Every copy
+    is restricted in one :meth:`PatternSchedule.restrict` call when the
+    object is built, cut to the gates that the copy's edge reaches and
+    that reach one of its ``nets`` (a cut gate equals its base row or is
+    never read), and all of them replay in one level-ordered pass per
+    :meth:`replay`.  So the per-call numpy overhead is paid per plan
+    instead of per (copy, plan), and a caller that replays the same
+    copies with fresh sizes (the sampled dictionary path, once per
+    allocation round) restricts once and :meth:`slice` s stopped copies
+    out.  Each requested entry is the same reduction over the same
     ``base[source] + (delay + size)`` operands, in the same order, as
     :func:`resimulate_with_extra_compiled` computes for that copy alone,
-    so the rows are bit-identical to the per-copy loop, and so are the
-    per-copy counters.  ``kernel.cone_schedules`` counts each restricted
-    copy once, ``kernel.cone_reuse`` each restricted copy of every
-    replay after the first.
+    so the rows are bit-identical to the per-copy loop.  Counters stay
+    per copy: ``dynamic.resimulations``, ``dynamic.nets_recomputed`` (the
+    whole cone) and ``kernel.replays_skipped`` equal the loop's, while
+    ``kernel.reductions`` counts the cut plan's edges.
+    ``kernel.cone_schedules`` counts each restricted copy once,
+    ``kernel.cone_reuse`` each copy of every replay after the first
+    (a slice's replays included).
     """
 
-    __slots__ = ("base_matrix", "delays", "entry_rows", "skipped",
-                 "n_copies", "n_recomputed", "replays", "cone", "hit",
-                 "hit_copy", "entries", "overlay_rows")
+    __slots__ = ("base_matrix", "delays", "edge_indices", "entry_rows",
+                 "counts", "candidate", "cone_sizes", "slot", "replays",
+                 "cone", "hit", "hit_copy", "entries", "overlay_rows")
 
     def __init__(
         self,
@@ -934,54 +1002,96 @@ class ConeReplay:
         # of delay and settle rows, gathered again per replay instead.
         self.base_matrix = base_stable.matrix
         self.delays = _replay_delays(base)
-        counts = [len(group) for group in nets]
+        self.edge_indices = np.asarray(edge_indices, dtype=np.int64)
+        self.counts = np.array([len(group) for group in nets], dtype=np.int64)
         # Compact row of every requested (copy, net) entry, copy-major;
         # every entry starts from its base row and recomputed ones are
         # overwritten.
         self.entry_rows = schedule.compact_rows[np.fromiter(
             (net_rows[net] for group in nets for net in group),
-            dtype=np.int64, count=sum(counts),
+            dtype=np.int64, count=int(self.counts.sum()),
         )]
         # A copy whose edge is not a candidate pin replays to the base rows
         # (see resimulate_with_extra_compiled); so does an empty cone.
         edge_pos = schedule.edge_pos
-        candidate = [int(edge) in edge_pos for edge in edge_indices]
-        replayed = [
-            c for c, is_candidate in enumerate(candidate)
-            if is_candidate and len(cones[c])
-        ]
-        self.skipped = candidate.count(False)
-        self.n_copies = len(replayed)
-        self.n_recomputed = sum(len(cones[c]) for c in replayed)
+        self.candidate = np.array(
+            [int(edge) in edge_pos for edge in edge_indices], dtype=bool
+        )
+        self.cone_sizes = np.array(
+            [len(cone) for cone in cones], dtype=np.int64
+        )
+        replayed = np.flatnonzero(self.candidate & (self.cone_sizes > 0))
+        self.slot = np.full(len(cones), -1, dtype=np.int64)
+        self.slot[replayed] = np.arange(len(replayed), dtype=np.int64)
         self.replays = 0
-        self.cone = None
         recorder = obs.get_recorder()
-        if recorder.enabled and replayed:
-            recorder.count("kernel.cone_schedules", len(replayed))
-        if not replayed:
+        if recorder.enabled and replayed.size:
+            recorder.count("kernel.cone_schedules", int(replayed.size))
+        cone = None
+        if replayed.size:
+            entries, slots = self._requested()
+            cone = schedule.restrict(
+                [cones[c] for c in replayed],
+                hits=self.edge_indices[replayed],
+                entries=(slots, self.entry_rows[entries]),
+            )
+        self._bind(cone)
+
+    def _requested(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The positions of the replayed copies' entries in
+        ``entry_rows``, and each one's copy in the restriction."""
+        entry_slot = np.repeat(self.slot, self.counts)
+        entries = np.flatnonzero(entry_slot >= 0)
+        return entries, entry_slot[entries]
+
+    def _bind(self, cone: Optional[_ConeSchedule]) -> None:
+        """Adopt ``cone`` (``None``: nothing to recompute) and locate the
+        hit edges and recomputed entries in it."""
+        self.cone = cone if cone is not None and cone.n_overlay else None
+        if self.cone is None:
             return
-        cone = schedule.restrict([cones[c] for c in replayed])
-        if not cone.steps:
-            return
-        self.cone = cone
         # Each copy's own suspect edge takes the extra delay, in that copy
         # only; ``hit_copy`` is the caller's copy index of each hit.
-        replayed = np.asarray(replayed, dtype=np.int64)
-        replayed_edges = np.asarray(edge_indices, dtype=np.int64)[replayed]
+        replayed = np.flatnonzero(self.slot >= 0)
         self.hit = np.flatnonzero(
-            cone.edges == replayed_edges[cone.edge_copy]
+            cone.edges == self.edge_indices[replayed][cone.edge_copy]
         )
         self.hit_copy = replayed[cone.edge_copy[self.hit]]
-        slot = np.full(len(edge_indices), -1, dtype=np.int64)
-        slot[replayed] = np.arange(len(replayed), dtype=np.int64)
-        entry_slot = np.repeat(slot, counts)
-        entries = np.flatnonzero(entry_slot >= 0)
-        overlay_rows = cone.overlay_of[
-            entry_slot[entries], self.entry_rows[entries]
-        ]
+        entries, slots = self._requested()
+        overlay_rows = cone.overlay_of[slots, self.entry_rows[entries]]
         recomputed = overlay_rows >= 0
         self.entries = entries[recomputed]
         self.overlay_rows = overlay_rows[recomputed]
+
+    def slice(self, keep: Sequence[int]) -> "ConeReplay":
+        """This replay over copies ``keep`` only (ascending copy indices,
+        renumbered in that order): equal to a fresh one over those copies,
+        plan included, but selected out of this plan instead of restricted
+        again.  Its copies were restricted here, so every replay of the
+        slice counts as ``kernel.cone_reuse``."""
+        keep = np.asarray(keep, dtype=np.int64)
+        part = ConeReplay.__new__(ConeReplay)
+        part.base_matrix = self.base_matrix
+        part.delays = self.delays
+        part.edge_indices = self.edge_indices[keep]
+        part.entry_rows = self.entry_rows[
+            np.repeat(np.isin(np.arange(len(self.slot)), keep), self.counts)
+        ]
+        part.counts = self.counts[keep]
+        part.candidate = self.candidate[keep]
+        part.cone_sizes = self.cone_sizes[keep]
+        slots = self.slot[keep]
+        part.slot = np.full(len(keep), -1, dtype=np.int64)
+        part.slot[slots >= 0] = np.arange(
+            int((slots >= 0).sum()), dtype=np.int64
+        )
+        part.replays = max(self.replays, 1)
+        cone = self.cone
+        if cone is not None:
+            replayed = slots[slots >= 0]
+            cone = cone.select(np.isin(cone.pair_copy, replayed), replayed)
+        part._bind(cone)
+        return part
 
     def replay(self, sizes: np.ndarray) -> np.ndarray:
         """The stacked entry rows after adding ``sizes`` to every copy's
@@ -989,13 +1099,19 @@ class ConeReplay:
         row per copy."""
         recorder = obs.get_recorder()
         if recorder.enabled:
-            if self.skipped:
-                recorder.count("kernel.replays_skipped", self.skipped)
-            if self.n_copies:
-                recorder.count("dynamic.resimulations", self.n_copies)
-                recorder.count("dynamic.nets_recomputed", self.n_recomputed)
+            skipped = int((~self.candidate).sum())
+            if skipped:
+                recorder.count("kernel.replays_skipped", skipped)
+            replayed = self.slot >= 0
+            n_copies = int(replayed.sum())
+            if n_copies:
+                recorder.count("dynamic.resimulations", n_copies)
+                recorder.count(
+                    "dynamic.nets_recomputed",
+                    int(self.cone_sizes[replayed].sum()),
+                )
                 if self.replays:
-                    recorder.count("kernel.cone_reuse", self.n_copies)
+                    recorder.count("kernel.cone_reuse", n_copies)
         self.replays += 1
         out = self.base_matrix[self.entry_rows]
         cone = self.cone

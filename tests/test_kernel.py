@@ -420,10 +420,23 @@ class TestMemoization:
             cone = small_timing.circuit.fanout_cone(
                 small_timing.circuit.edges[edge].sink
             )
+            # A single replay restricts its cone afresh every time.
             resimulate_with_extra(base, {edge: 0.5}, affected=cone)
             resimulate_with_extra(base, {edge: 0.7}, affected=cone)
-            assert recorder.counter_value("kernel.cone_schedules") == 1
-            assert recorder.counter_value("kernel.cone_reuse") == 1
+            assert recorder.counter_value("kernel.cone_schedules") == 2
+            assert recorder.counter_value("kernel.cone_reuse") == 0
+            # A prepared replay restricts once; its later replays, and
+            # every replay of a slice of it, reuse the restriction.
+            sink = small_timing.circuit.edges[edge].sink
+            prepared = prepare_cones(
+                base, [edge, edge], [cone, cone], [[sink], [sink]]
+            )
+            sizes = np.full(small_timing.space.n_samples, 0.5)
+            prepared.replay(sizes)
+            prepared.replay(sizes)
+            prepared.slice([1]).replay(sizes)
+            assert recorder.counter_value("kernel.cone_schedules") == 4
+            assert recorder.counter_value("kernel.cone_reuse") == 3
 
     def test_non_candidate_pin_returns_base_without_a_cone(self, small_timing):
         circuit = small_timing.circuit

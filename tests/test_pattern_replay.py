@@ -3,8 +3,10 @@
 Plain dictionary builds restrict and replay all live suspects of a
 pattern column at once (:func:`repro.timing.dynamic.replay_cones`).  These
 tests pin that batch to the per-(suspect, pattern) loop it replaced —
-byte for byte, signed zeros included, and counter for counter — and pin
-the n-cone restriction to n one-cone restrictions.
+byte for byte, signed zeros included, and counter for counter — pin the
+n-cone restriction to n one-cone restrictions, and pin the cut of each
+cone to its live gates to a walk from the definition
+(:mod:`tests.cone_walk`).
 """
 
 import numpy as np
@@ -27,15 +29,21 @@ from repro.timing import (
     simulate_pattern_set,
     simulate_transition,
 )
-from repro.timing.dynamic import replay_cones, resimulate_with_extra
+from repro.timing.dynamic import (
+    prepare_cones,
+    replay_cones,
+    resimulate_with_extra,
+)
 from repro.timing.reference import resimulate_with_extra_reference
 
-#: Counters the batch must keep per copy.
+from .cone_walk import live_gates
+
+#: Counters the batch must keep per copy.  ``kernel.reductions`` counts
+#: the cut plans' edges instead: the loop replays whole cones.
 COUNTERS = (
     "dynamic.resimulations",
     "dynamic.nets_recomputed",
     "kernel.replays_skipped",
-    "kernel.reductions",
 )
 
 
@@ -80,6 +88,27 @@ def _loop_signatures(timing, sims, clocks, suspects, sizes,
     return np.stack(signatures)
 
 
+def _column_copies(timing, sims, clocks, suspects, sizes):
+    """Pattern column -> its copies ``(edge index, cone, nets)``, as the
+    plain builder groups them (one chunk)."""
+    circuit = timing.circuit
+    transitioned = _transition_matrix(circuit, sims)
+    _m_crt, live = _output_thresholds(
+        circuit, sims, transitioned, tuple(clocks), sizes
+    )
+    plans = _sink_plans(
+        circuit, transitioned, live, {edge.sink for edge in suspects}
+    )
+    copies = {}
+    for edge in suspects:
+        cone, activity = plans[edge.sink]
+        for column, _rows, nets in activity:
+            copies.setdefault(column, []).append(
+                (timing.edge_index[edge], cone, nets)
+            )
+    return copies
+
+
 def _chip_inputs(name, seed):
     """A Section I chip's inputs: site patterns, base runs, two clocks and
     every pin of every fifth gate as suspects (so sinks are shared)."""
@@ -117,6 +146,14 @@ def chip(request):
     with obs.use_recorder(obs.Recorder()) as recorder:
         expected = _loop_signatures(timing, sims, clocks, suspects, sizes)
     counts = {name: recorder.counter_value(name) for name in COUNTERS}
+    counts["uncut reductions"] = recorder.counter_value("kernel.reductions")
+    counts["kernel.reductions"] = sum(
+        live_gates(sims[column], edge, cone, nets)[1]
+        for column, copies in _column_copies(
+            timing, sims, clocks, suspects, sizes
+        ).items()
+        for edge, cone, nets in copies
+    )
     return timing, patterns, sims, clocks, suspects, sizes, expected, counts
 
 
@@ -148,9 +185,9 @@ class TestPlainDictionaryMatchesLoop:
         with obs.use_recorder(obs.Recorder()) as recorder:
             dictionary = _build(chip)
         assert dictionary.signature_stack().tobytes() == expected.tobytes()
-        assert {
-            name: recorder.counter_value(name) for name in COUNTERS
-        } == counts
+        for name in COUNTERS + ("kernel.reductions",):
+            assert recorder.counter_value(name) == counts[name], name
+        assert counts["kernel.reductions"] < counts["uncut reductions"]
 
     def test_chunking_splits_a_sink(self, chip):
         suspects, expected = chip[4], chip[6]
@@ -242,6 +279,10 @@ class TestReplayCones:
                 continue
             for name in COUNTERS:
                 assert counts[name] == loop_recorder.counter_value(name), name
+            assert recorder.counter_value("kernel.reductions") == sum(
+                live_gates(sim, edge, cone, group)[1]
+                for edge, cone, group in zip(edges, cones, nets)
+            )
 
     def test_no_copies(self, small_timing):
         circuit = small_timing.circuit
@@ -314,17 +355,104 @@ class TestRestriction:
                 checked += bool(single.n_overlay)
         assert checked > 8
 
-    def test_cone_for_is_the_cached_one_copy_case(self, small_timing):
-        circuit = small_timing.circuit
-        sim = simulate_transition(
-            small_timing, [0] * len(circuit.inputs), [1] * len(circuit.inputs)
-        )
-        schedule = sim.kernel_state
-        cone = circuit.fanout_cone(circuit.edges[int(schedule.all_edges[0])].sink)
-        cached = schedule.cone_for(cone)
-        assert schedule.cone_for(cone) is cached
-        fresh = schedule.restrict([cone])
-        assert cached.edges.tolist() == fresh.edges.tolist()
-        assert cached.sources.tolist() == fresh.sources.tolist()
-        assert cached.overlay_rows == fresh.overlay_rows
-        assert cached.edge_pos == fresh.edge_pos
+
+def _kept_pairs(prepared):
+    """The (caller copy, gate) pairs a prepared replay recomputes."""
+    cone = prepared.cone
+    if cone is None:
+        return set()
+    replayed = np.flatnonzero(prepared.slot >= 0)
+    return {
+        (int(replayed[copy]), cone.net_names[int(row)])
+        for copy, row in zip(cone.pair_copy, cone.out_rows)
+    }
+
+
+def _plan(prepared):
+    """Every table of a prepared replay, as comparable lists."""
+    plan = {
+        name: getattr(prepared, name).tolist()
+        for name in ("edge_indices", "entry_rows", "counts", "candidate",
+                     "cone_sizes", "slot")
+    }
+    cone = prepared.cone
+    if cone is None:
+        return plan
+    for name in ("edges", "sources", "edge_copy", "inside", "pair_copy",
+                 "pair_seg", "lens", "out_rows", "overlay_of"):
+        plan[name] = getattr(cone, name).tolist()
+    plan["steps"] = [
+        [None if part is None else np.asarray(part).tolist() for part in step]
+        for step in cone.steps
+    ]
+    for name in ("hit", "hit_copy", "entries", "overlay_rows"):
+        plan[name] = getattr(prepared, name).tolist()
+    return plan
+
+
+class TestLiveCut:
+    """Each copy keeps exactly its live gates (:mod:`tests.cone_walk`),
+    and cutting the rest changes no byte of any requested row."""
+
+    def test_kept_pairs_equal_definition_and_rows_equal_uncut(self, chip):
+        timing, _patterns, sims, clocks, suspects, sizes = chip[:6]
+        rng = np.random.default_rng(11)
+        columns = _column_copies(timing, sims, clocks, suspects, sizes)
+        cut = 0
+        for column, copies in columns.items():
+            edges, cones, nets = zip(*copies)
+            sim = sims[column]
+            prepared = prepare_cones(sim, edges, cones, nets)
+            expected = set()
+            for copy, (edge, cone, group) in enumerate(copies):
+                live, _n_edges = live_gates(sim, edge, cone, group)
+                expected.update((copy, net) for net in live)
+            assert _kept_pairs(prepared) == expected
+            # One size row per copy; the uncut per-copy loop replays each
+            # whole cone.
+            draws = rng.normal(1.5, 1.0, (len(copies), len(sizes)))
+            uncut = np.concatenate([
+                _rows(resimulate_with_extra(
+                    sim, {edge: draw}, affected=cone
+                ).stable, group)
+                for (edge, cone, group), draw in zip(copies, draws)
+            ])
+            assert prepared.replay(draws).tobytes() == uncut.tobytes()
+            cut += sum(
+                len(sim.kernel_state.restrict([cone]).edges)
+                for cone in cones
+            ) - (0 if prepared.cone is None else len(prepared.cone.edges))
+        assert len(columns) > 1 and max(map(len, columns.values())) > 1
+        assert cut > 0
+
+    def test_slice_equals_fresh_replay(self, chip):
+        timing, _patterns, sims, clocks, suspects, sizes = chip[:6]
+        columns = _column_copies(timing, sims, clocks, suspects, sizes)
+        rng = np.random.default_rng(12)
+        sliced = 0
+        for column, copies in columns.items():
+            # Two size rows per copy, as a fixed-round sampled cell takes.
+            copies = [copy for copy in copies for _round in range(2)]
+            if len(copies) < 6:
+                continue
+            edges, cones, nets = zip(*copies)
+            sim = sims[column]
+            prepared = prepare_cones(sim, edges, cones, nets)
+            for keep in ([0, 1], list(range(1, len(copies), 3)),
+                         list(range(2, len(copies)))):
+                part = prepared.slice(keep)
+                fresh = prepare_cones(
+                    sim, [edges[k] for k in keep], [cones[k] for k in keep],
+                    [nets[k] for k in keep],
+                )
+                assert _plan(part) == _plan(fresh)
+                draws = rng.normal(1.5, 1.0, (len(keep), len(sizes)))
+                assert part.replay(draws).tobytes() == (
+                    fresh.replay(draws).tobytes()
+                )
+                # A slice of a slice is a slice too.
+                assert _plan(part.slice([len(keep) - 1])) == _plan(
+                    prepared.slice([keep[-1]])
+                )
+                sliced += 1
+        assert sliced >= 3

@@ -37,6 +37,8 @@ from repro.timing import (
 from repro.timing.dynamic import resimulate_with_extra
 from repro.timing.reference import resimulate_with_extra_reference
 
+from .cone_walk import live_gates
+
 SAMPLERS = {
     "adaptive": SamplerConfig(
         mode="adaptive", ci_abs=2e-3, ci_rel=0.5, min_rounds=2,
@@ -46,11 +48,12 @@ SAMPLERS = {
 }
 
 #: Counters a lockstep build must keep per (suspect, pattern, round).
+#: ``kernel.reductions`` counts the cut plans' edges instead
+#: (:func:`_cut_reductions`): the sequential loop replays whole cones.
 COUNTERS = (
     "dynamic.resimulations",
     "dynamic.nets_recomputed",
     "kernel.replays_skipped",
-    "kernel.reductions",
 )
 
 
@@ -134,19 +137,41 @@ def _rows(stable, nets):
     return np.stack([stable[net] for net in nets])
 
 
+def _plans(case):
+    """``M_crt`` and the builder's per-sink activity plans."""
+    timing, sims, clocks = case["timing"], case["sims"], tuple(case["clocks"])
+    circuit = timing.circuit
+    transitioned = _transition_matrix(circuit, sims)
+    m_crt, live = _output_thresholds(circuit, sims, transitioned, clocks, None)
+    return m_crt, _sink_plans(
+        circuit, transitioned, live, {edge.sink for edge in case["suspects"]}
+    )
+
+
+def _cut_reductions(case, report):
+    """``kernel.reductions`` of a build from the definition of the cut:
+    every round of a suspect replays the live gates of each of its
+    pattern columns once (:func:`tests.cone_walk.live_gates`)."""
+    timing, sims = case["timing"], case["sims"]
+    _m_crt, plans = _plans(case)
+    total = 0
+    for edge, rounds in zip(case["suspects"], report["rounds_per_suspect"]):
+        cone, activity = plans[edge.sink]
+        total += rounds * sum(
+            live_gates(sims[column], timing.edge_index[edge], cone, nets)[1]
+            for column, _rows, nets in activity
+        )
+    return total
+
+
 def _sequential_build(case, sampler, replay=resimulate_with_extra):
     """The sampled chunk body before lockstep allocation: suspect by
     suspect and clock by clock, one cell runs alone to its stopping rule,
     replaying each (pattern, round) through ``replay``.  Returns the
     signature stack and the ``sampling_report``."""
     timing, sims, clocks = case["timing"], case["sims"], tuple(case["clocks"])
-    circuit = timing.circuit
     n_patterns = len(sims)
-    transitioned = _transition_matrix(circuit, sims)
-    m_crt, live = _output_thresholds(circuit, sims, transitioned, clocks, None)
-    plans = _sink_plans(
-        circuit, transitioned, live, {edge.sink for edge in case["suspects"]}
-    )
+    m_crt, plans = _plans(case)
     fixed_rounds = sampler.is_rounds if sampler.mode == "is" else None
     signatures, samples, rounds, degenerate, ess, converged = (
         [], [], [], [], [], []
@@ -230,6 +255,10 @@ def oracle(request, case):
     with obs.use_recorder(obs.Recorder()) as recorder:
         signatures, report = _sequential_build(case, sampler)
     counts = {name: recorder.counter_value(name) for name in COUNTERS}
+    counts["kernel.reductions"] = _cut_reductions(case, report)
+    assert counts["kernel.reductions"] < recorder.counter_value(
+        "kernel.reductions"
+    )
     return sampler, signatures, report, counts
 
 
@@ -260,8 +289,9 @@ class TestLockstepMatchesSequentialCells:
         _assert_matches(built, signatures, report)
         for name, value in counts.items():
             assert recorder.counter_value(name) == value, name
-        # Every replayed copy either restricts its cone or reuses one; a
-        # fixed-round cell replays once, so only adaptive builds reuse.
+        # Every replayed copy either restricts its cone or reuses one (a
+        # slice's copies included); a fixed-round cell replays once, so
+        # only adaptive builds reuse.
         reuse = recorder.counter_value("kernel.cone_reuse")
         assert reuse + recorder.counter_value("kernel.cone_schedules") == (
             counts["dynamic.resimulations"]
