@@ -438,7 +438,7 @@ def cmd_serve(args) -> int:
     The serving plane runs supervised (``docs/architecture.md`` §16): a
     circuit breaker sheds load when p95 batch latency or failure rate
     crosses the ``--breaker-*`` thresholds, worker death mid-batch
-    degrades down the process -> thread -> serial ladder, and SIGTERM
+    degrades down the process -> serial ladder, and SIGTERM
     drains gracefully — stop accepting, flush every in-flight reply,
     exit 0 (Ctrl-C keeps the documented 130).
     """
@@ -588,6 +588,8 @@ def cmd_table1(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .core.parallel import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__, epilog=EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -599,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--parallel",
-            choices=("serial", "process", "thread"),
+            choices=BACKENDS,
             default="",
             help="dictionary-construction backend (default: serial)",
         )
@@ -633,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--no-degrade", action="store_true", dest="no_degrade",
             help="fail with a typed error instead of degrading "
-            "process -> thread -> serial when a worker pool breaks",
+            "process -> serial when a worker pool breaks",
         )
         p.add_argument(
             "--sampler", choices=("plain", "is", "adaptive"), default="",

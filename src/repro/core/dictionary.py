@@ -766,8 +766,8 @@ def build_multi_clock_dictionary(
             with recorder.span("dictionary.signatures"):
                 # The cost hint makes auto-chunking work-aware: chunks
                 # carry at least MIN_CHUNK_WORK of suspects × patterns ×
-                # samples, fixing the small-granularity pool loss
-                # BENCH_parallel.json recorded.
+                # samples, so a small build is not split into many
+                # dispatch-dominated tasks.
                 signature_list = map_chunked(
                     _signatures_for_chunk, job, len(suspects),
                     resolve_parallel(parallel),

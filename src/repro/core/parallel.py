@@ -8,9 +8,7 @@ executor abstraction those loops fan out through:
 
 * ``serial`` — plain in-process loop (the default; zero overhead),
 * ``process`` — a ``concurrent.futures.ProcessPoolExecutor`` of worker
-  processes,
-* ``thread`` — ``concurrent.futures.ThreadPoolExecutor`` (no pickling;
-  useful when the payload is huge and the work releases the GIL).
+  processes, the one pooled backend.
 
 Work is sharded into *chunks of item indices*; the (potentially large)
 shared payload — the timing model plus base simulations — is shipped to
@@ -29,7 +27,7 @@ governs how failing chunks are handled:
   from the same SeedSequence spawn keys in the payload,
 * a chunk that overruns its per-chunk deadline, or a pool whose worker
   was killed (``BrokenProcessPool``), degrades gracefully down the
-  ladder process -> thread -> serial, re-running only incomplete chunks,
+  ladder process -> serial, re-running only incomplete chunks,
 * exhausted budgets surface as typed errors
   (:class:`~repro.resilience.RetryExhaustedError`,
   :class:`~repro.resilience.ChunkTimeoutError`,
@@ -72,7 +70,7 @@ __all__ = [
 T = TypeVar("T")
 
 #: Recognised backend names.
-BACKENDS = ("serial", "process", "thread")
+BACKENDS = ("serial", "process")
 
 #: Environment knobs (also set by the CLI flags in ``repro.__main__``).
 ENV_BACKEND = "REPRO_PARALLEL_BACKEND"
@@ -148,9 +146,10 @@ def resolve_parallel(
 
 #: Minimum work units (item count × per-item work) a pooled chunk should
 #: carry before its dispatch/pickling overhead is worth paying.
-#: BENCH_parallel.json showed process pools *losing* to serial on small
-#: per-suspect work precisely because count-based chunking produced many
-#: tiny tasks; work-aware sizing merges those into fewer, larger chunks.
+#: Count-based chunking split small per-suspect work into many tiny
+#: tasks; work-aware sizing merges those into fewer, larger chunks.
+#: BENCH_parallel.json still shows process pools losing to serial on
+#: plain builds: the pool's fixed start-up cost exceeds the whole build.
 MIN_CHUNK_WORK = 32_768
 
 
@@ -241,16 +240,6 @@ def _run_chunk_task(task: Tuple[Sequence[int], int]):
     return _MetricsShard(items, recorder.snapshot())
 
 
-def _run_chunk_local(fn: Callable, payload, indices: List[int], attempt: int):
-    """In-process chunk body (serial loop and thread-pool workers)."""
-    chaos.trip(
-        "parallel.chunk",
-        index=indices[0] if indices else None,
-        attempt=attempt,
-    )
-    return fn(payload, list(indices))
-
-
 # ----------------------------------------------------------------------
 # the resilient driver
 # ----------------------------------------------------------------------
@@ -271,8 +260,7 @@ def _terminate_workers(executor) -> None:
     """Best-effort kill of a process pool's workers (hung/abandoned pool).
 
     Reaches into ``ProcessPoolExecutor._processes`` — stable since 3.7 —
-    so an abandoned rung does not leave a hung worker alive for minutes.
-    A thread pool has nothing to terminate; this is a no-op there.
+    so an abandoned pool does not leave a hung worker alive for minutes.
     """
     processes = getattr(executor, "_processes", None)
     if not processes:
@@ -301,12 +289,15 @@ def _run_serial_rung(
 ) -> None:
     """The ladder's last rung: in-process, retryable, cannot break."""
     for index in pending:
-        indices = list(chunks[index])
+        chunk = chunks[index]
         while True:
             try:
-                results[index] = _run_chunk_local(
-                    fn, payload, indices, attempts[index]
+                chaos.trip(
+                    "parallel.chunk",
+                    index=chunk[0] if chunk else None,
+                    attempt=attempts[index],
                 )
+                results[index] = fn(payload, list(chunk))
                 break
             except KeyboardInterrupt:
                 raise
@@ -326,7 +317,6 @@ def _run_serial_rung(
 
 
 def _run_pool_rung(
-    rung: str,
     fn: Callable,
     payload,
     chunks: List[range],
@@ -337,35 +327,25 @@ def _run_pool_rung(
     policy: RetryPolicy,
     recorder,
 ) -> bool:
-    """Run the pending chunks on one pooled rung.
+    """Run the pending chunks on the process pool.
 
     Returns ``True`` when every pending chunk completed, ``False`` when
     the pool had to be abandoned (worker killed, or a hung chunk past
-    its deadline) and the survivors should re-run on the next rung.
+    its deadline) and the survivors should re-run on the serial rung.
     Chunk-level failures retry in place; non-retryable ones propagate.
     """
     import concurrent.futures as cf
 
-    if rung == "thread":
-        executor = cf.ThreadPoolExecutor(max_workers=workers)
+    executor = cf.ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_init_worker,
+        initargs=(fn, payload, recorder.enabled, chaos.get_plan()),
+    )
 
-        def submit(index: int):
-            return executor.submit(
-                _run_chunk_local, fn, payload, list(chunks[index]),
-                attempts[index],
-            )
-
-    else:
-        executor = cf.ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(fn, payload, recorder.enabled, chaos.get_plan()),
+    def submit(index: int):
+        return executor.submit(
+            _run_chunk_task, (list(chunks[index]), attempts[index])
         )
-
-        def submit(index: int):
-            return executor.submit(
-                _run_chunk_task, (list(chunks[index]), attempts[index])
-            )
 
     in_flight: Dict = {}
     try:
@@ -469,7 +449,7 @@ def map_chunked(
 
     ``fn`` must be a module-level function returning one result per index
     in the chunk (in chunk order); ``payload`` must be picklable for the
-    process backends.  The flattened result list is aligned with
+    process backend.  The flattened result list is aligned with
     ``range(n_items)`` regardless of completion order, which is what makes
     parallel runs reproduce serial runs exactly.
 
@@ -480,7 +460,7 @@ def map_chunked(
     ``policy`` (a :class:`repro.resilience.RetryPolicy`; defaults to the
     ``REPRO_RETRY_*`` environment) adds per-chunk retries with
     deterministic backoff, per-chunk deadlines and graceful degradation
-    process -> thread -> serial — all result-preserving: a recovered run
+    process -> serial — all result-preserving: a recovered run
     returns exactly what an undisturbed one would have.
     """
     config = resolve_parallel(config)
@@ -507,41 +487,35 @@ def map_chunked(
         return _flatten(results, recorder)
 
     workers = min(config.workers, len(chunks))
-    ladder = policy.ladder(config.backend)
+    # The ladder below the pool: the serial rung, or nothing when
+    # degradation is off.
+    fallback = policy.ladder(config.backend)[1:]
     with recorder.span("parallel.map"):
-        for rung_number, rung in enumerate(ladder):
+        if not _run_pool_rung(
+            fn, payload, chunks, all_indices, results, attempts,
+            workers, policy, recorder,
+        ):
             pending = [i for i in all_indices if results[i] is _PENDING]
-            if not pending:
-                break
-            if rung_number > 0:
-                recorder.count("resilience.fallbacks")
-                recorder.count(f"resilience.fallback.{rung}")
-            if rung == "serial":
-                _run_serial_rung(
-                    fn, payload, chunks, pending, results, attempts,
-                    policy, recorder,
+            if not fallback:
+                # The pool was abandoned (hung chunk or broken pool) and
+                # there is no rung to re-run its chunks on.
+                if policy.chunk_timeout is not None:
+                    raise ChunkTimeoutError(
+                        f"{len(pending)} chunk(s) did not complete on the "
+                        f"{config.backend!r} backend (degradation disabled)",
+                        chunk=pending[0],
+                        timeout_s=policy.chunk_timeout,
+                    )
+                raise WorkerPoolBrokenError(
+                    f"worker pool of the {config.backend!r} backend broke "
+                    f"with {len(pending)} chunk(s) incomplete "
+                    "(degradation disabled)"
                 )
-                break
-            if _run_pool_rung(
-                rung, fn, payload, chunks, pending, results, attempts,
-                workers, policy, recorder,
-            ):
-                break
-        still_pending = [i for i in all_indices if results[i] is _PENDING]
-        if still_pending:
-            # Only reachable with the degradation ladder disabled: the
-            # sole rung was abandoned (broken pool or hung chunk).
-            if policy.chunk_timeout is not None:
-                raise ChunkTimeoutError(
-                    f"{len(still_pending)} chunk(s) did not complete on the "
-                    f"{config.backend!r} backend (degradation disabled)",
-                    chunk=still_pending[0],
-                    timeout_s=policy.chunk_timeout,
-                )
-            raise WorkerPoolBrokenError(
-                f"worker pool of the {config.backend!r} backend broke with "
-                f"{len(still_pending)} chunk(s) incomplete "
-                "(degradation disabled)"
+            recorder.count("resilience.fallbacks")
+            recorder.count(f"resilience.fallback.{fallback[0]}")
+            _run_serial_rung(
+                fn, payload, chunks, pending, results, attempts,
+                policy, recorder,
             )
     recorder.count(f"parallel.{config.backend}.chunks", len(chunks))
     recorder.count(f"parallel.{config.backend}.items", n_items)

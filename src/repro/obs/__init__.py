@@ -16,12 +16,12 @@ fetches it per call (:func:`get_recorder`) and records through it:
 Contract (enforced by ``tests/test_obs.py`` and the determinism suite):
 
 * disabled mode is a constant no-op — no locks, no clock reads, no
-  allocation (``benchmarks/bench_obs.py`` pins the overhead),
+  allocation,
 * recording never touches an RNG stream: instrumented runs are
   bit-identical to uninstrumented ones,
-* worker shards merge: thread workers share the (lock-protected)
-  recorder, process workers ship snapshots home through
-  :func:`repro.core.parallel.map_chunked`.
+* worker shards merge: process workers ship snapshots home through
+  :func:`repro.core.parallel.map_chunked`; threads in one process share
+  the (lock-protected) recorder.
 
 Manifests (:mod:`repro.obs.manifest`) serialize a snapshot plus run
 identity into the schema-validated JSON document CI archives per run.

@@ -5,10 +5,11 @@ One :class:`Recorder` aggregates everything a run does:
 * **spans** — nested wall-clock timings (``with recorder.span("x"): ...``)
   aggregated into a tree keyed by span name; the current parent lives in
   a :class:`contextvars.ContextVar`, so each asyncio task and each fresh
-  worker thread nests from its own context (a worker thread's spans
-  attach at the root), while the aggregate tree itself is shared and
-  lock-protected, so the thread backend of :mod:`repro.core.parallel`
-  merges by construction,
+  thread nests from its own context (a new thread's spans attach at the
+  root), while the aggregate tree itself is shared and lock-protected:
+  the :class:`~repro.service.ServiceSupervisor` restore thread and
+  concurrent :class:`~repro.service.DiagnosisService` callers record
+  into the one shared recorder,
 * **counters** — monotonically accumulated integers/floats (cache hits,
   resimulation counts, chunk throughput),
 * **gauges** — last-write-wins scalars (worker counts, config echoes),
@@ -22,9 +23,10 @@ ships each worker shard's snapshot home with its results and folds it in
 
 Instrumentation must cost ~nothing when nobody is measuring: the module
 default is a :class:`NullRecorder` whose every operation is a constant
-no-op (``benchmarks/bench_obs.py`` pins the overhead), and none of this
-machinery ever touches an RNG stream — determinism is proven by the
-instrumented-vs-uninstrumented rounds in the test suite.
+no-op that reads no clock and takes no lock (``tests/test_obs.py`` pins
+this), and none of this machinery ever touches an RNG stream —
+determinism is proven by the instrumented-vs-uninstrumented rounds in
+the test suite.
 """
 
 from __future__ import annotations

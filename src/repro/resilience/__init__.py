@@ -10,8 +10,8 @@ either *recoverable* or a *typed, diagnosable error*:
 
 * :mod:`~repro.resilience.policy` — retry/timeout/backoff policies for
   the chunked executor (:func:`repro.core.parallel.map_chunked`), with
-  deterministic seeded jitter and a process -> thread -> serial
-  degradation ladder,
+  deterministic seeded jitter and a process -> serial degradation
+  ladder,
 * :mod:`~repro.resilience.checkpoint` — atomic, schema-pinned
   checkpoint files written at trial boundaries, carrying the exact RNG
   state so a resumed campaign is bit-identical to an uninterrupted one,

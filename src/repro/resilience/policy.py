@@ -4,7 +4,7 @@ A :class:`RetryPolicy` tells :func:`repro.core.parallel.map_chunked` how
 to treat failing chunks: how many re-attempts each chunk gets, how long
 to back off between them, what the per-chunk deadline is on pooled
 backends, and whether a dying backend may degrade down the ladder
-(process -> thread -> serial).
+(process -> serial).
 
 Backoff is **deterministic**: delays are a pure function of the policy
 and the (chunk id, attempt) pair.  Jitter — needed so a thundering herd
@@ -45,20 +45,19 @@ ENV_TIMEOUT = "REPRO_RETRY_TIMEOUT"
 ENV_BACKOFF = "REPRO_RETRY_BACKOFF"
 ENV_NO_DEGRADE = "REPRO_RETRY_NO_DEGRADE"
 
-#: Graceful-degradation ladder per starting backend: when a pool breaks
-#: or hangs past recovery, incomplete chunks re-run on the next rung.
-#: Every ladder ends at ``serial``, which cannot break.
+#: Graceful-degradation ladder per starting backend: when the pool breaks
+#: or hangs past recovery, incomplete chunks re-run on ``serial``, which
+#: cannot break.
 DEGRADATION_LADDER = {
     "serial": ("serial",),
-    "process": ("process", "thread", "serial"),
-    "thread": ("thread", "serial"),
+    "process": ("process", "serial"),
 }
 
 
 def fallback_rungs(backend: str) -> Tuple[str, ...]:
     """The rungs *below* ``backend`` on the degradation ladder.
 
-    ``process`` -> ``("thread", "serial")``, ``serial`` -> ``()`` (the
+    ``process`` -> ``("serial",)``, ``serial`` -> ``()`` (the
     bottom rung cannot break).  The service supervisor walks these when a
     batch loses its compute plane mid-flight, re-running only the
     affected request group one rung down.

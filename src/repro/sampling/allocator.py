@@ -22,7 +22,7 @@ the nominal law) regardless of the CI target.  Together with per-round
 spawn-key RNG this makes the draw sequence a pure function of
 ``(seed, suspect, clk, round)`` — so tightening the CI target can only
 extend the round sequence, never change it (allocation is monotone), and
-serial/thread/process backends replay identical streams.
+serial/process backends replay identical streams.
 """
 
 from __future__ import annotations

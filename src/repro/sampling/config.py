@@ -16,7 +16,7 @@ Three modes select how dictionary critical probabilities are estimated:
 Every sampled draw goes through
 ``spawn_generator(seed, SAMPLER_SPAWN_KEY, suspect, clk, round)`` so the
 streams are a pure function of the sample-space seed and stable indices —
-bit-identical across serial/thread/process backends and independent of
+bit-identical across serial/process backends and independent of
 chunking (see :mod:`repro.rng`).
 """
 

@@ -22,7 +22,7 @@ operational layer — the same fault-tolerance discipline
   mid-batch (``BrokenProcessPool`` / worker death, surfaced as
   :class:`~repro.resilience.WorkerPoolBrokenError`) is re-run — alone —
   one rung down the :data:`~repro.resilience.policy.DEGRADATION_LADDER`
-  (process -> thread -> serial).  Answers are bit-identical across rungs
+  (process -> serial).  Answers are bit-identical across rungs
   (the build/scoring contract), so degradation is invisible in results.
   The primary plane is re-probed in a background thread and swapped back
   in once healthy (``degraded -> ready``).

@@ -308,12 +308,11 @@ class TestDictionaryIdentical:
 
     @pytest.mark.slow
     def test_parallel_backends(self, small_timing):
-        """Compiled kernel inside thread/process workers == the oracle."""
-        for backend in ("thread", "process"):
-            self._check(
-                small_timing,
-                parallel=ParallelConfig(backend=backend, n_workers=2),
-            )
+        """Compiled kernel inside process workers == the oracle."""
+        self._check(
+            small_timing,
+            parallel=ParallelConfig(backend="process", n_workers=2),
+        )
 
     def test_strided_path_tests_every_edge_s1196(self):
         """Full s1196 at 128 samples: path tests from every 173rd edge

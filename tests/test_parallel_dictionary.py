@@ -103,18 +103,6 @@ class TestSerialParallelEquivalence:
         )
         _assert_identical(serial, parallel)
 
-    @pytest.mark.parametrize("backend", ["thread"])
-    def test_other_backends_bit_identical(self, request, backend, bench_case):
-        timing, patterns, clk, suspects, sizes, sims = bench_case
-        serial = build_dictionary(
-            timing, patterns, clk, suspects, sizes, base_simulations=sims
-        )
-        parallel = build_dictionary(
-            timing, patterns, clk, suspects, sizes, base_simulations=sims,
-            parallel=ParallelConfig(backend=backend, n_workers=2, chunk_size=3),
-        )
-        _assert_identical(serial, parallel)
-
     def test_sweep_dictionary_parallel_identical(self, bench_case):
         timing, patterns, clk, suspects, sizes, sims = bench_case
         clks = [clk * 0.95, clk, clk * 1.05]
@@ -170,7 +158,7 @@ class TestExecutor:
         assert len(chunk_indices(100, 30, n_workers=1)) == 4
 
     def test_map_chunked_preserves_order(self):
-        for backend in ("serial", "process", "thread"):
+        for backend in ("serial", "process"):
             config = ParallelConfig(backend=backend, n_workers=2, chunk_size=2)
             result = map_chunked(_double_chunk, 3, 9, config)
             assert result == [3 * index for index in range(9)]
@@ -186,7 +174,14 @@ class TestExecutor:
         assert config.chunk_size == 5
         # explicit config beats environment
         assert resolve_parallel(ParallelConfig()).is_serial
-        assert resolve_parallel("thread").backend == "thread"
+        assert resolve_parallel("process").n_workers is None
+
+    def test_thread_backend_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="'serial', 'process'"):
+            ParallelConfig(backend="thread")
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "thread")
+        with pytest.raises(ValueError, match="'serial', 'process'"):
+            resolve_parallel(None)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -202,11 +197,10 @@ class TestWorkAwareChunking:
 
     A dictionary build over S suspects does S × patterns × samples units
     of simulation; chunking purely by suspect count sends microscopic
-    chunks through the pool and the IPC overhead eats the speedup
-    (BENCH_parallel.json documents the losses).  The ``work_per_item``
-    hint floors the auto chunk size at ``MIN_CHUNK_WORK`` units per
-    chunk.  These counts are pinned: a change here silently shifts every
-    parallel build's granularity.
+    chunks through the pool and the IPC overhead eats the speedup.  The
+    ``work_per_item`` hint floors the auto chunk size at
+    ``MIN_CHUNK_WORK`` units per chunk.  These counts are pinned: a
+    change here silently shifts every parallel build's granularity.
     """
 
     def _n_chunks(self, n_items, work_per_item):
@@ -246,7 +240,7 @@ class TestWorkAwareChunking:
             assert flat == list(range(37))
 
     def test_map_chunked_results_identical_with_and_without_hint(self):
-        config = ParallelConfig(backend="thread", n_workers=2)
+        config = ParallelConfig(backend="process", n_workers=2)
         plain = map_chunked(_double_chunk, 3, 9, config)
         hinted = map_chunked(_double_chunk, 3, 9, config, work_per_item=10)
         assert plain == hinted == [3 * index for index in range(9)]

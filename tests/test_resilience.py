@@ -6,7 +6,7 @@ or fail with a *typed* :class:`~repro.resilience.ResilienceError`:
 
 * retry/backoff policies (deterministic seeded jitter, no wall clock),
 * worker kills / hangs / transient exceptions in ``map_chunked`` across
-  the process -> thread -> serial degradation ladder,
+  the process -> serial degradation ladder,
 * prompt Ctrl-C shutdown with pending chunks cancelled,
 * atomic schema-pinned checkpoints, and the central determinism proof:
   an interrupted-then-resumed campaign equals an uninterrupted one,
@@ -65,6 +65,16 @@ def _slow_chunk(payload, indices):
     return [payload[i] for i in indices]
 
 
+def _interrupting_chunk(payload, indices):
+    """Marks each executed chunk with a file; chunk 2 raises Ctrl-C."""
+    marker_dir, items = payload
+    open(os.path.join(marker_dir, str(indices[0])), "w").close()
+    time.sleep(0.05)
+    if indices[0] == 2:
+        raise KeyboardInterrupt
+    return [items[i] for i in indices]
+
+
 PAYLOAD = list(range(20))
 EXPECT = [x * 2 for x in PAYLOAD]
 
@@ -114,8 +124,11 @@ class TestRetryPolicy:
         assert policy.backoff_delay(3, 1) == policy.backoff_delay(3, 1)
 
     def test_ladders(self):
-        assert DEGRADATION_LADDER["process"] == ("process", "thread", "serial")
-        assert RetryPolicy().ladder("process")[-1] == "serial"
+        assert DEGRADATION_LADDER == {
+            "serial": ("serial",),
+            "process": ("process", "serial"),
+        }
+        assert RetryPolicy().ladder("process") == ("process", "serial")
         assert RetryPolicy(degrade=False).ladder("process") == ("process",)
         assert RetryPolicy().ladder("serial") == ("serial",)
 
@@ -240,7 +253,7 @@ class TestChaosHarness:
 # retry / recovery in map_chunked
 # ======================================================================
 class TestRetryRecovery:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_transient_first_attempt_recovers(self, backend):
         plan = ChaosPlan(
             [ChaosEvent("parallel.chunk", "transient", index=8, attempts=(0,))]
@@ -253,7 +266,7 @@ class TestRetryRecovery:
             )
         assert out == EXPECT
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_retries_exhaust_with_typed_error(self, backend):
         plan = ChaosPlan(
             [ChaosEvent("parallel.chunk", "transient", index=8, times=None)]
@@ -357,7 +370,7 @@ class TestDegradation:
                 out = map_chunked(
                     _double, PAYLOAD[:8], 8,
                     config=ParallelConfig(
-                        backend="thread", n_workers=2, chunk_size=4
+                        backend="process", n_workers=2, chunk_size=4
                     ),
                     policy=fast_policy(max_retries=1, chunk_timeout=0.5),
                 )
@@ -373,7 +386,7 @@ class TestDegradation:
                 map_chunked(
                     _double, PAYLOAD[:8], 8,
                     config=ParallelConfig(
-                        backend="thread", n_workers=2, chunk_size=4
+                        backend="process", n_workers=2, chunk_size=4
                     ),
                     policy=fast_policy(
                         max_retries=0, chunk_timeout=0.5, degrade=False
@@ -397,24 +410,17 @@ class TestKeyboardInterrupt:
                 config=ParallelConfig(backend="serial", chunk_size=1),
             )
 
-    def test_pool_interrupt_cancels_pending_chunks(self):
-        executed = []
-
-        def interrupting(payload, indices):
-            executed.append(indices[0])
-            time.sleep(0.01)
-            if indices[0] == 2:
-                raise KeyboardInterrupt
-            return [payload[i] for i in indices]
-
+    def test_pool_interrupt_cancels_pending_chunks(self, tmp_path):
         items = list(range(40))
         with pytest.raises(KeyboardInterrupt):
             map_chunked(
-                interrupting, items, len(items),
-                config=ParallelConfig(backend="thread", n_workers=2, chunk_size=1),
+                _interrupting_chunk, (str(tmp_path), items), len(items),
+                config=ParallelConfig(
+                    backend="process", n_workers=2, chunk_size=1
+                ),
             )
         # chunks queued behind the interrupt were cancelled, not drained
-        assert len(executed) < len(items)
+        assert len(os.listdir(tmp_path)) < len(items)
 
 
 # ======================================================================
@@ -650,6 +656,14 @@ class TestCLIExitCodes:
         assert main(["table1", "s27", "--resume"]) == EXIT_USAGE
         assert "--checkpoint" in capsys.readouterr().err
 
+    def test_thread_backend_is_a_usage_error(self, capsys):
+        from repro.__main__ import EXIT_USAGE, main
+
+        with pytest.raises(SystemExit) as info:
+            main(["diagnose", "s27", "--parallel", "thread"])
+        assert info.value.code == EXIT_USAGE
+        assert "'serial', 'process'" in capsys.readouterr().err
+
     def test_interrupted_cli_run_resumes_cleanly(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -702,7 +716,7 @@ class TestResilienceObservability:
         counters = manifest["metrics"]["counters"]
         assert counters["resilience.broken_pools"] >= 1
         assert counters["resilience.fallbacks"] >= 1
-        assert counters["resilience.fallback.thread"] >= 1
+        assert counters["resilience.fallback.serial"] >= 1
 
 
 # ======================================================================

@@ -23,7 +23,7 @@ golden file:
   either kernel,
 * dictionary integration: ``--sampler plain`` is bit-identical to the
   legacy path, sampled builds are bit-identical across
-  serial/thread/process backends, a chain-circuit entry matches the
+  serial/process backends, a chain-circuit entry matches the
   exact conditional-exceedance oracle, and cache keys only change for
   non-plain configurations.
 """
@@ -455,29 +455,26 @@ class TestDictionaryIntegration:
 
     def test_adaptive_bit_reproducible_across_backends(self, sampled_case):
         timing, patterns, clk, suspects, sizes, sims, dist = sampled_case
-        builds = {
-            backend: build_dictionary(
+        reference, candidate = (
+            build_dictionary(
                 timing, patterns, clk, suspects, sizes,
                 base_simulations=sims, sampler=ADAPTIVE,
                 size_distribution=dist,
                 parallel=ParallelConfig(backend, n_workers=2, chunk_size=3),
             )
-            for backend in ("serial", "thread", "process")
-        }
-        reference = builds["serial"]
+            for backend in ("serial", "process")
+        )
         assert reference.sampling_report["all_converged"]
-        for backend in ("thread", "process"):
-            candidate = builds[backend]
-            assert np.array_equal(reference.m_crt, candidate.m_crt)
-            for edge in suspects:
-                assert np.array_equal(
-                    reference.signatures[edge], candidate.signatures[edge]
-                ), f"{backend} signature mismatch at {edge}"
-            # the allocation itself (not just the results) must replay
-            assert (
-                reference.sampling_report["samples_per_suspect"]
-                == candidate.sampling_report["samples_per_suspect"]
-            )
+        assert np.array_equal(reference.m_crt, candidate.m_crt)
+        for edge in suspects:
+            assert np.array_equal(
+                reference.signatures[edge], candidate.signatures[edge]
+            ), f"process signature mismatch at {edge}"
+        # the allocation itself (not just the results) must replay
+        assert (
+            reference.sampling_report["samples_per_suspect"]
+            == candidate.sampling_report["samples_per_suspect"]
+        )
 
     def test_adaptive_report_accounting(self, sampled_case):
         timing, patterns, clk, suspects, sizes, sims, dist = sampled_case

@@ -116,7 +116,7 @@ class TestEngineBitIdentity:
             assert answer.method == name
             assert answer.ranking == reference.ranking
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_compute_planes_identical(
         self, workload_and_model, behaviors, backend
     ):

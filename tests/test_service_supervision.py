@@ -238,7 +238,7 @@ class TestCircuitBreaker:
 # supervised scoring: the chaos proof
 # ----------------------------------------------------------------------
 class TestSupervisedScoring:
-    def _supervisor(self, workload, parallel="thread", **config):
+    def _supervisor(self, workload, parallel="process", **config):
         service = _service(workload, parallel=parallel)
         service.warm(WORKLOAD)
         supervisor = ServiceSupervisor(
@@ -272,7 +272,7 @@ class TestSupervisedScoring:
         assert recorder.counter_value("service.supervision.fallbacks") == 1
         assert recorder.counter_value("service.supervision.fallback.serial") == 1
         assert supervisor.health()["plane"] == {
-            "primary": "thread", "current": "serial", "degraded": True,
+            "primary": "process", "current": "serial", "degraded": True,
         }
 
     def test_ladder_exhausted_yields_typed_errors(
@@ -305,7 +305,7 @@ class TestSupervisedScoring:
         with obs.use_recorder(recorder):
             assert supervisor.restore_plane() is True
         assert not supervisor.degraded
-        assert supervisor.service.parallel == "thread"
+        assert supervisor.service.parallel == "process"
         assert supervisor.lifecycle.state == "ready"
         assert recorder.counter_value("service.supervision.restored") == 1
         # idempotent when healthy
