@@ -90,7 +90,8 @@ def _feasible(
     v2: List[int],
     criterion: Sensitization,
 ) -> bool:
-    val1, val2 = frame_values(circuit, evaluate_two_frame(circuit, v1, v2))
+    rows = circuit.rows
+    val1, val2 = frame_values(rows, evaluate_two_frame(rows, v1, v2))
     return classify_path_sensitization(circuit, test_path, val1, val2).at_least(
         criterion
     )
@@ -171,7 +172,8 @@ def optimize_fill(
 
     best_fitness, best_genome = scored[0]
     v1, v2 = vectors_of(best_genome)
-    val1, val2 = frame_values(circuit, evaluate_two_frame(circuit, v1, v2))
+    rows = circuit.rows
+    val1, val2 = frame_values(rows, evaluate_two_frame(rows, v1, v2))
     achieved = classify_path_sensitization(circuit, test.path, val1, val2)
     optimized = PathTest(test.path, v1, v2, test.rising_at_input, achieved)
     return FillResult(

@@ -37,7 +37,7 @@ preserving bit-exact results):
 * **pattern batching** — a plain build works pattern column by pattern
   column: every live suspect of a chunk that the column reaches is
   restricted and replayed in one level-ordered pass
-  (:func:`repro.timing.dynamic.replay_cones`) and all of their entries
+  (:class:`repro.timing.kernel.ConeReplay`) and all of their entries
   are thresholded at once per clock.  Each entry is the same reduction
   over the same operands, then the same exact count over the same width,
   as a replay of that suspect alone.  A sampled build does the same per
@@ -73,7 +73,8 @@ import numpy as np
 
 from ..circuits.netlist import Circuit, Edge
 from ..timing.critical import simulate_pattern_set
-from ..timing.dynamic import TransitionSimResult, prepare_cones, replay_cones
+from ..timing.dynamic import TransitionSimResult
+from ..timing.kernel import ConeReplay
 from ..timing.instance import CircuitTiming
 from ..atpg.patterns import PatternPairSet
 from ..sampling import (
@@ -165,10 +166,11 @@ class ProbabilisticFaultDictionary:
 # ----------------------------------------------------------------------
 # the signature kernel
 # ----------------------------------------------------------------------
-#: Per-sink activity plan: the fanout-cone net list plus, per pattern
-#: column that toggles the sink, the (output rows, output nets) that can
-#: carry the suspect's effect.  Shared by every suspect on the sink.
-_SinkPlan = Tuple[List[str], List[Tuple[int, np.ndarray, List[str]]]]
+#: Per-sink activity plan: the fanout cone's net rows plus, per pattern
+#: column that toggles the sink, the outputs that can carry the suspect's
+#: effect (positions in ``circuit.outputs``, and their net rows).  Shared
+#: by every suspect on the sink.
+_SinkPlan = Tuple[np.ndarray, List[Tuple[int, np.ndarray, np.ndarray]]]
 
 
 @dataclass
@@ -204,6 +206,12 @@ def _transition_matrix(
     return matrix
 
 
+def _base_rows(sim: TransitionSimResult, net_rows) -> np.ndarray:
+    """The base settle rows of ``net_rows``, stacked: one gather from a
+    simulation's compact matrix."""
+    return sim.stable.matrix[sim.kernel_state.compact_rows[net_rows]]
+
+
 def _output_thresholds(
     circuit: Circuit,
     base_simulations: Sequence[TransitionSimResult],
@@ -227,9 +235,9 @@ def _output_thresholds(
     entry is ``+0.0``, so it is dropped from the live mask.
     """
     outputs = circuit.outputs
+    output_rows = circuit.rows.output_rows
     n_patterns = len(base_simulations)
-    topo_index = circuit.topological_index
-    live = transitioned[:, [topo_index[net] for net in outputs]]
+    live = transitioned[:, output_rows]
     m_crt = np.zeros((len(outputs), n_patterns * len(clks)))
     if size_samples is not None:
         rise = np.maximum(size_samples, 0.0)
@@ -239,7 +247,7 @@ def _output_thresholds(
         rows = np.flatnonzero(live[column])
         if not rows.size:
             continue
-        settles = sim.settle_rows([outputs[row] for row in rows])
+        settles = _base_rows(sim, output_rows[rows])
         if recorder.enabled:
             recorder.observe("dynamic.settle", settles.ravel())
         if size_samples is not None:
@@ -277,25 +285,27 @@ def _sink_plans(
     of "the sink toggles and some output is live" settles most sinks at
     once; each remaining sink takes one 2-D probe of its cone outputs.
     """
-    topo_index = circuit.topological_index
-    outputs = circuit.outputs
+    table = circuit.rows
     sinks = list(sinks)
-    toggles = transitioned[:, [topo_index[sink] for sink in sinks]].T
+    sink_rows = table.rows_of(sinks)
+    toggles = transitioned[:, sink_rows].T
     candidate = (toggles & live.any(axis=1)).any(axis=1)
     plans: Dict[str, _SinkPlan] = {}
-    for sink, sink_toggles, any_live in zip(sinks, toggles, candidate.tolist()):
-        activity: List[Tuple[int, np.ndarray, List[str]]] = []
+    for sink, row, sink_toggles, any_live in zip(
+        sinks, sink_rows.tolist(), toggles, candidate.tolist()
+    ):
+        activity: List[Tuple[int, np.ndarray, np.ndarray]] = []
         if any_live:
-            out_rows = circuit.fanout_output_rows(sink)
+            out_rows = table.cone_outputs(row)
             columns = np.flatnonzero(sink_toggles)
             mask = live[columns[:, None], out_rows]
             hit = mask.any(axis=1)
             for column, entry in zip(columns[hit], mask[hit]):
                 rows = out_rows[entry]
                 activity.append(
-                    (int(column), rows, [outputs[row] for row in rows])
+                    (int(column), rows, table.output_rows[rows])
                 )
-        plans[sink] = (circuit.fanout_cone(sink), activity)
+        plans[sink] = (table.cone(row), activity)
     return plans
 
 
@@ -307,14 +317,13 @@ def _pruned_entries(
 ) -> int:
     """Transitioning (suspect, pattern, output) entries the crossing bound
     dropped from the plans (a ``dictionary.entries_pruned`` count)."""
-    topo_index = circuit.topological_index
-    toggling_outputs = transitioned[
-        :, [topo_index[net] for net in circuit.outputs]
-    ]
+    table = circuit.rows
+    toggling_outputs = transitioned[:, table.output_rows]
     pruned = 0
     for sink, (_cone, activity) in plan_by_sink.items():
-        columns = transitioned[:, topo_index[sink]]
-        cone_rows = circuit.fanout_output_rows(sink)
+        row = table.index[sink]
+        columns = transitioned[:, row]
+        cone_rows = table.cone_outputs(row)
         toggling = int(toggling_outputs[columns][:, cone_rows].sum())
         kept = sum(len(rows) for _column, rows, _nets in activity)
         pruned += (toggling - kept) * sink_suspects[sink]
@@ -328,7 +337,7 @@ def _signatures_for_chunk(
 
     Works per pattern column rather than per suspect: every live suspect
     of the chunk that the column reaches is one copy of
-    :func:`~repro.timing.dynamic.replay_cones`, so the column restricts
+    :class:`~repro.timing.kernel.ConeReplay`, so the column restricts
     and replays all of their cones in one pass and thresholds all of
     their entries at once per clock.  Every entry is the same count over
     the same width as a per-suspect replay would threshold, so the
@@ -349,10 +358,9 @@ def _signatures_for_chunk(
             )
     for column, column_copies in copies.items():
         slots, edge_indices, cones, rows, nets = zip(*column_copies)
-        settles = replay_cones(
-            job.base_simulations[column], edge_indices, job.size_samples,
-            cones, nets,
-        )
+        settles = ConeReplay(
+            job.base_simulations[column], edge_indices, cones, nets
+        ).replay(job.size_samples)
         out_rows = np.concatenate(rows)
         owners = np.repeat(slots, [len(part) for part in rows])
         for block, clk in enumerate(job.clks):
@@ -417,15 +425,17 @@ def _min_medians(
     ``np.median(axis=1)`` per pattern column, over every output row the
     chunk tracks there, serves every suspect.
     """
-    tracked: Dict[int, Dict[int, str]] = {}
+    tracked: Dict[int, Dict[int, int]] = {}
     for activity in activities:
         for column, rows, nets in activity:
-            tracked.setdefault(column, {}).update(zip(rows.tolist(), nets))
+            tracked.setdefault(column, {}).update(
+                zip(rows.tolist(), nets.tolist())
+            )
     medians: Dict[int, np.ndarray] = {}
-    for column, named in tracked.items():
+    for column, net_rows in tracked.items():
         medians[column] = np.empty(job.m_crt.shape[0])
-        medians[column][list(named)] = np.median(
-            job.base_simulations[column].settle_rows(list(named.values())),
+        medians[column][list(net_rows)] = np.median(
+            _base_rows(job.base_simulations[column], list(net_rows.values())),
             axis=1,
         )
     return [
@@ -450,7 +460,7 @@ def _sampled_signatures_for_chunk(
     Per clock, the cells of all live suspects advance in lockstep: each
     step, every active cell draws its next round, and per pattern column
     the active cells that reach it are the copies of one
-    :func:`~repro.timing.dynamic.prepare_cones` replay, each with its own
+    :class:`~repro.timing.kernel.ConeReplay`, each with its own
     sizes.  Each cell joins its parts in its own activity order, commits,
     and leaves the active set once it stops.  A column's copies change
     only when one of its cells stops, so its restriction is prepared once
@@ -514,7 +524,7 @@ def _sampled_signatures_for_chunk(
                 [item for item in field for _ in range(per_step)]
                 for field in zip(*members[column])
             )
-            replays[column] = (members[column], prepare_cones(
+            replays[column] = (members[column], ConeReplay(
                 job.base_simulations[column], edges, cones, nets
             ))
         while active:

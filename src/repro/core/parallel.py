@@ -44,6 +44,7 @@ defaults (:func:`repro.resilience.resolve_retry`).
 
 from __future__ import annotations
 
+import collections
 import os
 import time
 from dataclasses import dataclass
@@ -342,15 +343,24 @@ def _run_pool_rung(
         initargs=(fn, payload, recorder.enabled, chaos.get_plan()),
     )
 
-    def submit(index: int):
-        return executor.submit(
-            _run_chunk_task, (list(chunks[index]), attempts[index])
-        )
-
     in_flight: Dict = {}
+    waiting = collections.deque(pending)
+    # Under a deadline, at most ``workers`` chunks are in flight: the
+    # executor marks a future running once it enters its call queue
+    # (``workers + 1`` deep), so a deeper backlog would start the clock
+    # of a chunk that no worker has taken yet.
+    limit = workers if policy.chunk_timeout is not None else len(pending)
+
+    def top_up() -> None:
+        while waiting and len(in_flight) < limit:
+            index = waiting.popleft()
+            future = executor.submit(
+                _run_chunk_task, (list(chunks[index]), attempts[index])
+            )
+            in_flight[future] = _TaskInfo(index, attempts[index])
+
     try:
-        for index in pending:
-            in_flight[submit(index)] = _TaskInfo(index, attempts[index])
+        top_up()
         broken = False
         while in_flight and not broken:
             done, _not_done = cf.wait(
@@ -388,15 +398,16 @@ def _run_pool_rung(
                     resubmit.append(info.index)
             if broken:
                 break
-            for index in resubmit:
-                in_flight[submit(index)] = _TaskInfo(index, attempts[index])
+            waiting.extendleft(reversed(resubmit))
+            top_up()
             if policy.chunk_timeout is None:
                 continue
             now = time.perf_counter()
             for future, info in list(in_flight.items()):
                 # Deadlines measure *execution* time: the clock starts
-                # when the future is first observed running, so chunks
-                # queued behind a saturated pool never falsely expire.
+                # when the future is first observed running, and with no
+                # more chunks in flight than workers, a running future
+                # has a worker, so waiting chunks never falsely expire.
                 if info.started is None:
                     if future.running():
                         info.started = now
@@ -408,9 +419,7 @@ def _run_pool_rung(
                     # Raced to completion-queue; just re-run it here.
                     in_flight.pop(future)
                     attempts[info.index] += 1
-                    in_flight[submit(info.index)] = _TaskInfo(
-                        info.index, attempts[info.index]
-                    )
+                    waiting.appendleft(info.index)
                 else:
                     # Genuinely hung worker: the slot is unrecoverable,
                     # abandon the whole pool and let the ladder re-run
@@ -419,6 +428,7 @@ def _run_pool_rung(
                     for other in in_flight.values():
                         attempts[other.index] += 1
                     return False
+            top_up()
         if broken:
             recorder.count("resilience.broken_pools")
             _abandon(executor)

@@ -100,12 +100,9 @@ def estimate_defect_size(
         base_simulations = simulate_pattern_set(timing, list(patterns))
 
     edge_index = timing.edge_index[edge]
-    output_row = {net: row for row, net in enumerate(timing.circuit.outputs)}
-    affected = [
-        net
-        for net in timing.circuit.fanout_cone(edge.sink)
-        if net in output_row
-    ]
+    outputs = timing.circuit.outputs
+    rows = timing.circuit.rows
+    affected = rows.cone_outputs(rows.index[edge.sink]).tolist()
     rng = np.random.default_rng(timing.space.seed + 17)
 
     log_likelihoods: Dict[float, float] = {}
@@ -116,9 +113,9 @@ def estimate_defect_size(
             e_crt[:, column] = sim.error_vector(clk)
             if affected and sim.transitioned(edge.sink):
                 patched = resimulate_with_extra(sim, {edge_index: samples})
-                for net in affected:
+                for row in affected:
+                    net = outputs[row]
                     if patched.transitioned(net):
-                        row = output_row[net]
                         e_crt[row, column] = float(
                             np.mean(patched.stable[net] > clk)
                         )

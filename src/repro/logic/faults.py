@@ -234,7 +234,7 @@ def collapse_stuck_at_faults(circuit: Circuit) -> List[StuckAtFault]:
             if len(circuit.fanouts[fanin]) == 1:
                 union((fanin, controlling), (name, controlled_output))
 
-    order = {name: index for index, name in enumerate(circuit.topological_order)}
+    order = circuit.topological_index
     representatives: Dict[Tuple[str, int], Tuple[str, int]] = {}
     for net in circuit.gates:
         for value in (0, 1):

@@ -9,7 +9,7 @@ classic parallel-pattern single-fault technique.  This simulator provides:
   override (used for stuck-at fault simulation and critical path tracing),
 * :class:`LogicSimResult` — net values as boolean matrices,
 * :func:`evaluate_two_frame` — both frames of one two-vector test in a
-  single pass of a compiled opcode loop, packed one byte per net
+  single pass over the circuit's row table, packed one byte per net
   (``v1 | v2 << 1``), read back through :class:`FrameValues`.
 
 Timing-aware simulation lives in :mod:`repro.timing.dynamic`; this module is
@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits.library import GateType, eval_gate_bits
 from ..circuits.netlist import Circuit, CircuitError
+from ..circuits.rows import OP_INPUT, OP_NAND, OP_NOR, OP_XNOR, RowTable
 
 __all__ = [
     "LogicSimResult",
@@ -128,14 +129,13 @@ def simulate_cone(
     bit-parallel stuck-at fault simulation.
     """
     circuit = result.circuit
-    cone = set(circuit.fanout_cone(override_net))
     patched: Dict[str, np.ndarray] = {override_net: np.asarray(override_words)}
 
     def read(net: str) -> np.ndarray:
         return patched.get(net, result.words[net])
 
-    for name in circuit.topological_order:
-        if name not in cone or name == override_net:
+    for name in circuit.fanout_cone(override_net):  # topological order
+        if name == override_net:
             continue
         gate = circuit.gates[name]
         patched[name] = eval_gate_bits(
@@ -152,77 +152,49 @@ def simulate_cone(
 # Every net of a two-vector test is packed into two bits, ``v1 | v2 << 1``.
 # AND/OR/XOR act on both bits independently, so one bitwise pass over
 # the packed values evaluates both frames; inverting gates flip both bits
-# (``^ 3``).  Each gate lowers to (row, op, invert, first fanin row, other
-# fanin rows); BUF and OUTPUT are one-input ANDs, NOT a one-input NAND.
-_AND, _OR, _XOR = 0, 1, 2
-_OPCODES = {
-    GateType.BUF: (_AND, 0),
-    GateType.OUTPUT: (_AND, 0),
-    GateType.NOT: (_AND, 3),
-    GateType.AND: (_AND, 0),
-    GateType.NAND: (_AND, 3),
-    GateType.OR: (_OR, 0),
-    GateType.NOR: (_OR, 3),
-    GateType.XOR: (_XOR, 0),
-    GateType.XNOR: (_XOR, 3),
-}
-
-_Program = Tuple[List[int], List[Tuple[int, int, int, int, Tuple[int, ...]]]]
-
-
-def _compile_two_frame(circuit: Circuit) -> _Program:
-    """(input rows, gate program) over topological net rows."""
-    rows = circuit.topological_index
-    input_rows = [rows[net] for net in circuit.inputs]
-    program = []
-    for name in circuit.topological_order:
-        gate = circuit.gates[name]
-        if gate.gate_type is GateType.INPUT:
-            continue
-        if gate.gate_type is GateType.DFF:
-            raise CircuitError(
-                "cannot evaluate a sequential circuit; call unroll_scan() first"
-            )
-        op, invert = _OPCODES[gate.gate_type]
-        fanins = [rows[fanin] for fanin in gate.fanins]
-        program.append((rows[name], op, invert, fanins[0], tuple(fanins[1:])))
-    return input_rows, program
+# (``^ 3``).  BUF and OUTPUT are one-input ANDs, NOT a one-input NAND.
+#: Opcode -> the mask an inverting gate flips.
+_INVERT = (0, 0, 3, 0, 3, 0, 3, 0, 3, 0)
 
 
 def evaluate_two_frame(
-    circuit: Circuit, v1: Sequence[int], v2: Sequence[int]
+    rows: RowTable, v1: Sequence[int], v2: Sequence[int]
 ) -> bytes:
     """Settled values of every net under both vectors of a test.
 
-    ``v1``/``v2`` are 0/1 values in ``circuit.inputs`` order.  Returns one
-    byte per net in topological order (``circuit.topological_index``)
-    holding ``value1 | value2 << 1``; :func:`frame_values` reads it back
-    by net name.  Equal to two :meth:`Circuit.evaluate` calls, at a
-    fraction of their cost: the lowering is memoized on the frozen
-    circuit and one loop serves both frames.
+    ``rows`` is the circuit's :attr:`~repro.circuits.netlist.Circuit.rows`
+    table and ``v1``/``v2`` are 0/1 values in ``circuit.inputs`` order.
+    Returns one byte per net row (topological order) holding ``value1 |
+    value2 << 1``; :func:`frame_values` reads it back by net name.  Equal
+    to two :meth:`Circuit.evaluate` calls, at a fraction of their cost:
+    one loop over the table's opcodes and fanin rows serves both frames.
     """
-    compiled = getattr(circuit, "_two_frame_program", None)
-    if compiled is None:
-        compiled = _compile_two_frame(circuit)
-        circuit._two_frame_program = compiled  # type: ignore[attr-defined]
-    input_rows, program = compiled
+    input_rows = rows.input_rows
     if len(v1) != len(input_rows) or len(v2) != len(input_rows):
         raise CircuitError("test vectors must assign every primary input")
-    values = bytearray(len(circuit.topological_order))
+    values = bytearray(len(rows))
     for row, value1, value2 in zip(input_rows, v1, v2):
         values[row] = int(value1) | int(value2) << 1
-    for row, op, invert, first, rest in program:
-        value = values[first]
-        if op == _AND:
-            for fanin in rest:
+    for row, op, fanins in zip(range(len(rows)), rows.opcodes, rows.fanins):
+        if op <= OP_NAND:
+            if op == OP_INPUT:
+                continue
+            value = 3
+            for fanin in fanins:
                 value &= values[fanin]
-        elif op == _OR:
-            for fanin in rest:
+        elif op <= OP_NOR:
+            value = 0
+            for fanin in fanins:
                 value |= values[fanin]
-        else:
-            for fanin in rest:
+        elif op <= OP_XNOR:
+            value = 0
+            for fanin in fanins:
                 value ^= values[fanin]
-        values[row] = value ^ invert
+        else:
+            raise CircuitError(
+                "cannot evaluate a sequential circuit; call unroll_scan() first"
+            )
+        values[row] = value ^ _INVERT[op]
     return bytes(values)
 
 
@@ -253,8 +225,8 @@ class FrameValues(Mapping):
 
 
 def frame_values(
-    circuit: Circuit, packed: bytes
+    rows: RowTable, packed: bytes
 ) -> Tuple[FrameValues, FrameValues]:
     """The ``(val1, val2)`` views of :func:`evaluate_two_frame` output."""
-    rows = circuit.topological_index
-    return FrameValues(packed, rows, 0), FrameValues(packed, rows, 1)
+    index = rows.index
+    return FrameValues(packed, index, 0), FrameValues(packed, index, 1)

@@ -24,6 +24,7 @@ from typing import Dict, Optional, Tuple
 
 from ..circuits.library import GateType
 from ..circuits.netlist import Circuit
+from .dynamic import edge_offsets
 from .instance import CircuitTiming
 from .sta import analyze
 
@@ -132,11 +133,7 @@ def analyze_analytic(
     edge_mean = timing.delays.mean(axis=1)
     edge_var = timing.delays.var(axis=1)
 
-    offsets: Dict[str, int] = {}
-    offset = 0
-    for name in circuit.topological_order:
-        offsets[name] = offset
-        offset += len(circuit.gates[name].fanins)
+    offsets = edge_offsets(circuit)
 
     arrivals: Dict[str, GaussianDelay] = {}
     for name in circuit.topological_order:

@@ -5,11 +5,11 @@ per-gate decision depends only on the *logic* values of the pattern —
 which are sample-independent — so the whole simulation factors into
 three stages with very different change rates:
 
-1. **Circuit compilation** (once per circuit, :func:`compile_circuit`):
-   lower the :class:`~repro.circuits.netlist.Circuit` into flat integer
-   arrays — per-gate fanin blocks resolved to edge indices and source net
-   rows, controlling values, topological levels.  Net names disappear; a
-   net is a row index in topological order.
+1. **Circuit lowering** (once per circuit): the circuit's row table
+   (:mod:`repro.circuits.rows`) — opcodes, fanin rows, each gate's first
+   edge index and topological levels.  Net names disappear; a net is a
+   row index in topological order.  :func:`compile_circuit` adds only
+   the kernel's gate mask and the circuit's schedule cache.
 2. **Pattern scheduling** (once per two-vector test, cached per circuit):
    evaluate the logic, classify every transitioning gate as controlled-min
    or transitioning-max exactly like the reference oracle's
@@ -32,7 +32,7 @@ Cone-restricted replay filters a pattern schedule down to a suspect's
 fanout cone and evaluates it into a small ``(n_recomputed, width)``
 overlay on top of the base result; the replayed slice is tiny compared to
 the circuit.  One routine, :meth:`PatternSchedule.restrict`, builds the
-slices of one cone or of many: each cone is a *copy* with its own overlay
+slices of one cone or of many, given as net rows: each cone is a *copy* with its own overlay
 rows, and the copies' groups are laid out plan by plan, so one fused
 reduction per plan replays every copy.  Both dictionary builders replay
 all live suspects of a pattern that way in one pass
@@ -70,11 +70,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.library import CONTROLLING_VALUE, GateType
 from ..circuits.netlist import Circuit
+from ..circuits.rows import OP_INPUT, RowTable
 from ..logic.simulator import FrameValues, evaluate_two_frame
 from .. import obs
-from .dynamic import ExtraDelay, TransitionSimResult, edge_offsets
+from .dynamic import ExtraDelay, TransitionSimResult
 from .instance import CircuitTiming
 
 __all__ = [
@@ -94,6 +94,9 @@ SCHEDULE_CACHE_SIZE = 512
 
 #: Packed two-frame value (``v1 | v2 << 1``) -> did the net toggle?
 _TOGGLES = (False, True, True, False)
+
+#: Opcode -> controlling input value, -1 for none (AND/NAND 0, OR/NOR 1).
+_CONTROLLING = (-1, -1, -1, 0, 0, 1, 1, -1, -1, -1)
 
 
 def _toggled(values: bytes) -> np.ndarray:
@@ -151,34 +154,40 @@ class ConeStableTimes(Mapping):
 
     Recomputed nets live in a small overlay matrix; every other net falls
     through to the base simulation's matrix, so a re-simulation never
-    copies the full circuit's settle times.
+    copies the full circuit's settle times.  ``overlay_of`` maps a net
+    row to its overlay row, -1 for a net the replay did not recompute.
     """
 
-    __slots__ = ("base", "overlay", "overlay_rows")
+    __slots__ = ("base", "overlay", "overlay_of")
 
     def __init__(
         self,
         base: StableTimes,
         overlay: np.ndarray,
-        overlay_rows: Dict[str, int],
+        overlay_of: np.ndarray,
     ) -> None:
         self.base = base
         self.overlay = overlay
-        self.overlay_rows = overlay_rows
+        self.overlay_of = overlay_of
 
     def __getitem__(self, net: str) -> np.ndarray:
-        row = self.overlay_rows.get(net)
-        if row is not None:
-            return self.overlay[row]
-        return self.base[net]
+        base = self.base
+        row = base.net_rows[net]
+        slot = self.overlay_of[row]
+        if slot >= 0:
+            return self.overlay[slot]
+        return base.matrix[base.compact_rows[row]]
 
     def take_rows(self, nets: Iterable[str]) -> np.ndarray:
         """Rows for ``nets`` stacked into one ``(len(nets), width)`` array."""
-        rows = self.overlay_rows
-        index = [rows.get(net) for net in nets]
-        if None not in index:
-            return self.overlay[index]
-        return np.stack([self[net] for net in nets])
+        base = self.base
+        index = base.net_rows
+        rows = np.array([index[net] for net in nets], dtype=np.int64)
+        slots = self.overlay_of[rows]
+        out = base.matrix[base.compact_rows[rows]]
+        recomputed = slots >= 0
+        out[recomputed] = self.overlay[slots[recomputed]]
+        return out
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.base)
@@ -187,17 +196,16 @@ class ConeStableTimes(Mapping):
         return len(self.base)
 
 
-class _GroupPlan:
-    """One fused reduction batch: every transitioning gate of one level.
+def _plans(seg: np.ndarray, lens: np.ndarray) -> List[Tuple]:
+    """The fused reduction batches of a group table.
 
-    ``edges[starts[g] : starts[g+1]]`` (sentinel: end of array) are gate
-    ``out_rows[g]``'s candidate edges in pin order; ``sources`` holds the
-    matching drivers' compact-matrix rows (see :class:`PatternSchedule`).
-    Every group has >= 1 edge, so ``starts`` is strictly increasing —
-    exactly what ``ufunc.reduceat`` needs.  ``lo:hi`` is this plan's slice
-    of the schedule-wide concatenated edge array (one delay gather per call
-    instead of one per plan), ``row_lo:row_hi`` the compact-matrix rows
-    its groups write, in group order.
+    ``seg`` is each group's segment id (``2 * plan`` for a min group,
+    ``2 * plan + 1`` for a max group; non-decreasing) and ``lens`` its
+    edge count; groups and their edges are laid out back to back.  Per
+    plan: ``(s, e, lo, hi, starts, neg_rows, neg_groups)`` — its groups
+    ``s:e``, their edges ``lo:hi``, each group's first edge relative to
+    ``lo`` (strictly increasing, as ``ufunc.reduceat`` needs: every
+    group has >= 1 edge), and the leading min groups and their edges.
 
     Controlled-min and transitioning-max gates share one
     ``np.maximum.reduceat`` call: the first ``neg_groups`` groups (their
@@ -208,29 +216,26 @@ class _GroupPlan:
     selects bit-identical results while halving the number of reductions
     per level.
     """
-
-    __slots__ = ("edges", "starts", "sources", "out_rows", "lo", "hi",
-                 "row_lo", "row_hi", "neg_rows", "neg_groups")
-
-    def __init__(self, edges, starts, sources, out_rows, lo, row_lo,
-                 neg_rows, neg_groups):
-        self.edges = edges
-        self.starts = starts
-        self.sources = sources
-        self.out_rows = out_rows
-        self.lo = lo
-        self.hi = lo + len(edges)
-        self.row_lo = row_lo
-        self.row_hi = row_lo + len(out_rows)
-        self.neg_rows = neg_rows
-        self.neg_groups = neg_groups
-
-    def __getstate__(self):
-        return (self.edges, self.starts, self.sources, self.out_rows,
-                self.lo, self.row_lo, self.neg_rows, self.neg_groups)
-
-    def __setstate__(self, state):
-        self.__init__(*state)
+    if not len(lens):
+        return []
+    starts = np.zeros(len(lens), dtype=np.int64)
+    np.cumsum(lens[:-1], out=starts[1:])
+    bounds = np.flatnonzero(np.diff(seg >> 1)) + 1
+    seg_lo = np.concatenate(([0], bounds))
+    seg_hi = np.concatenate((bounds, [len(lens)]))
+    edge_lo = starts[seg_lo]
+    edge_hi = starts[seg_hi - 1] + lens[seg_hi - 1]
+    # Within a plan every min group precedes every max group.
+    neg = (seg & 1) == 0
+    neg_groups = np.add.reduceat(neg, seg_lo)
+    neg_rows = np.add.reduceat(lens * neg, seg_lo)
+    return [
+        (s, e, lo, hi, starts[s:e] - lo, neg_row, neg_group)
+        for s, e, lo, hi, neg_row, neg_group in zip(
+            seg_lo.tolist(), seg_hi.tolist(), edge_lo.tolist(),
+            edge_hi.tolist(), neg_rows.tolist(), neg_groups.tolist(),
+        )
+    ]
 
 
 class _ConeSchedule:
@@ -261,15 +266,14 @@ class _ConeSchedule:
     the rows to re-sum from the overlay rows ``inside_src``,
     ``out_lo:out_hi`` is the (contiguous) overlay destination, and the
     leading ``neg_rows`` rows / ``neg_groups`` groups are the fused min
-    reductions (see :class:`_GroupPlan`).
+    reductions (see :func:`_plans`).
     """
 
     __slots__ = ("edges", "sources", "edge_copy", "inside", "pair_copy",
-                 "pair_seg", "lens", "out_rows", "overlay_of", "net_names",
-                 "_steps", "_overlay_rows")
+                 "pair_seg", "lens", "out_rows", "overlay_of", "_steps")
 
     def __init__(self, edges, sources, edge_copy, inside, pair_copy,
-                 pair_seg, lens, out_rows, overlay_of, net_names):
+                 pair_seg, lens, out_rows, overlay_of):
         self.edges = edges
         self.sources = sources
         self.edge_copy = edge_copy
@@ -280,40 +284,11 @@ class _ConeSchedule:
         #: net row of every overlay row.
         self.out_rows = out_rows
         self.overlay_of = overlay_of
-        self.net_names = net_names
         self._steps = None
-        self._overlay_rows: Optional[Dict[str, int]] = None
 
     @property
     def n_overlay(self) -> int:
         return len(self.out_rows)
-
-    @property
-    def overlay_rows(self) -> Dict[str, int]:
-        """Net name -> overlay row of a one-copy restriction (built on
-        first use)."""
-        rows = self._overlay_rows
-        if rows is None:
-            names = self.net_names
-            rows = self._overlay_rows = {
-                names[int(row)]: index
-                for index, row in enumerate(self.out_rows)
-            }
-        return rows
-
-    def _plans(self) -> Tuple[np.ndarray, List[Tuple[int, int, int, int]]]:
-        """Each pair's first edge, and per plan ``(s, e, lo, hi)``: its
-        pairs ``s:e`` and their edges ``lo:hi``."""
-        lens = self.lens
-        starts = np.zeros(len(lens), dtype=np.int64)
-        np.cumsum(lens[:-1], out=starts[1:])
-        bounds = np.flatnonzero(np.diff(self.pair_seg >> 1)) + 1
-        seg_lo = np.concatenate(([0], bounds))
-        seg_hi = np.concatenate((bounds, [len(lens)]))
-        edge_lo = starts[seg_lo]
-        edge_hi = starts[seg_hi - 1] + lens[seg_hi - 1]
-        return starts, list(zip(seg_lo.tolist(), seg_hi.tolist(),
-                                edge_lo.tolist(), edge_hi.tolist()))
 
     @property
     def steps(self) -> List[Tuple]:
@@ -322,19 +297,11 @@ class _ConeSchedule:
         if steps is not None:
             return steps
         steps = self._steps = []
-        if not len(self.lens):
-            return steps
-        starts, plans = self._plans()
-        lens = self.lens
-        # Within a plan every copy's min groups precede every max group;
-        # running counts of min groups/rows give each step its negation
-        # boundary.
-        neg_flags = (self.pair_seg & 1) == 0
-        neg_group_cum = np.concatenate(([0], np.cumsum(neg_flags)))
-        neg_row_cum = np.concatenate(([0], np.cumsum(lens * neg_flags)))
         inside_all = np.flatnonzero(self.inside >= 0)
         inside_src_all = self.inside[inside_all]
-        for s, e, lo, hi in plans:
+        for s, e, lo, hi, starts, neg_rows, neg_groups in _plans(
+            self.pair_seg, self.lens
+        ):
             i0, i1 = np.searchsorted(inside_all, [lo, hi])
             if i1 > i0:
                 inside_pos = inside_all[i0:i1]
@@ -342,17 +309,8 @@ class _ConeSchedule:
             else:
                 inside_pos = None
                 inside_src = None
-            steps.append((
-                lo,
-                hi,
-                starts[s:e] - lo,
-                inside_pos,
-                inside_src,
-                s,
-                e,
-                int(neg_row_cum[e] - neg_row_cum[s]),
-                int(neg_group_cum[e] - neg_group_cum[s]),
-            ))
+            steps.append((lo, hi, starts, inside_pos, inside_src, s, e,
+                          neg_rows, neg_groups))
         return steps
 
     def live(self, hits: np.ndarray, entries: Tuple[np.ndarray, np.ndarray]
@@ -369,20 +327,20 @@ class _ConeSchedule:
         one forward and one backward sweep over the plans settle both.
         """
         n = len(self.lens)
-        starts, plans = self._plans()
+        plans = _plans(self.pair_seg, self.lens)
         inside = self.inside
         hit = self.edges == hits[self.edge_copy]
         # Index -1 (a base driver) reads the trailing False slot.
         reached = np.zeros(n + 1, dtype=bool)
-        for s, e, lo, hi in plans:
+        for s, e, lo, hi, starts, _neg_rows, _neg_groups in plans:
             reached[s:e] = np.logical_or.reduceat(
-                hit[lo:hi] | reached[inside[lo:hi]], starts[s:e] - lo
+                hit[lo:hi] | reached[inside[lo:hi]], starts
             )
         needed = np.zeros(n + 1, dtype=bool)
         needed[self.overlay_of[entries]] = True
         needed[n] = False
         edge_pair = np.repeat(np.arange(n, dtype=np.int64), self.lens)
-        for s, e, lo, hi in reversed(plans):
+        for s, e, lo, hi, _starts, _neg_rows, _neg_groups in reversed(plans):
             needed[inside[lo:hi][needed[edge_pair[lo:hi]]]] = True
             needed[n] = False
         return (reached & needed)[:n]
@@ -414,36 +372,41 @@ class _ConeSchedule:
             self.edges[edge_keep], self.sources[edge_keep],
             edge_copy[edge_keep], remap[self.inside[edge_keep]],
             pair_copy[kept], self.pair_seg[kept], self.lens[kept],
-            self.out_rows[kept], remap[overlay_of], self.net_names,
+            self.out_rows[kept], remap[overlay_of],
         )
 
 
 class PatternSchedule:
-    """The per-(v1, v2) reduction schedule over a compiled circuit.
+    """The per-(v1, v2) reduction schedule over a circuit's row table.
 
-    Holds the settled logic values of both frames packed one byte per net
+    Holds the circuit's :class:`~repro.circuits.rows.RowTable` (``rows``),
+    the settled logic values of both frames packed one byte per net
     row (:func:`repro.logic.simulator.evaluate_two_frame`; ``val1`` and
-    ``val2`` are read-only name-keyed views of it) and, per topological
-    level, up to two :class:`_GroupPlan` batches (controlled-min,
-    transitioning-max) in evaluation order, plus the concatenation of
-    every plan's edges for one-shot delay gathering.  Sample-independent:
-    one schedule serves every Monte-Carlo width, every ``extra_delay`` and
-    every cone replay of the same pattern.
+    ``val2`` are read-only name-keyed views of it) and one flat group
+    table: group ``g`` is transitioning gate ``group_out[g]``, whose
+    candidate edges (pin order) sit at ``group_start[g] : +group_len[g]``
+    in ``all_edges``, with their drivers' compact rows in ``all_sources``.
+    ``group_seg[g]`` is ``2 * plan`` for a controlled-min group and ``2 *
+    plan + 1`` for a transitioning-max group; a plan is one topological
+    level, min groups first, and ``steps`` are its fused reductions
+    (:func:`_plans`).  Sample-independent: one schedule serves every
+    Monte-Carlo width, every ``extra_delay`` and every cone replay of the
+    same pattern.
 
     Settle times live in a compact matrix: row ``g`` belongs to group
-    ``g`` (gate ``group_out[g]``) and the last row, ``n_groups``, is the
-    zero row shared by every net that does not transition or is a primary
-    input.  ``compact_rows`` maps each net row to its matrix row; plan and
-    cone sources are stored already mapped.
+    ``g`` and the last row, ``n_groups``, is the zero row shared by every
+    net that does not transition or is a primary input.  ``compact_rows``
+    maps each net row to its matrix row (int32).
     """
 
-    __slots__ = ("compiled", "values", "transitions",
-                 "n_net_transitions", "plans", "compact_rows", "all_edges",
-                 "all_sources", "group_out", "group_seg", "group_start",
-                 "group_len", "_edge_pos")
+    __slots__ = ("rows", "values", "transitions", "n_net_transitions",
+                 "compact_rows", "all_edges", "all_sources", "group_out",
+                 "group_len", "group_seg", "group_start", "steps",
+                 "_edge_pos")
 
-    def __init__(self, compiled, values, plans, compact_rows):
-        self.compiled = compiled
+    def __init__(self, rows, values, compact_rows, all_edges, all_sources,
+                 group_out, group_len, group_seg):
+        self.rows = rows
         #: ``value1 | value2 << 1`` per net row (= topological order).
         self.values = values
         #: bool per net row: did the net toggle?  Consumers (the
@@ -451,54 +414,27 @@ class PatternSchedule:
         #: queries on results) read this instead of the value views.
         transitions = self.transitions = _toggled(values)
         self.n_net_transitions = int(transitions.sum())
-        self.plans = plans
-        #: net row -> compact-matrix row (int32).
         self.compact_rows = compact_rows
-        empty = np.empty(0, dtype=np.int64)
-        if plans:
-            self.all_edges = np.concatenate([p.edges for p in plans])
-            self.all_sources = np.concatenate([p.sources for p in plans])
-            # Flat group table across all plans, for one-pass cone
-            # restriction: group g is gate ``group_out[g]``, its candidate
-            # edges sit at ``group_start[g] : +group_len[g]`` in
-            # ``all_edges``, and ``group_seg[g]`` is ``2 * plan`` for a
-            # fused-min group of ``plans[plan]``, ``2 * plan + 1`` for a
-            # max group (non-decreasing in g).
-            self.group_out = np.concatenate([p.out_rows for p in plans])
-            self.group_seg = np.concatenate([
-                2 * i + (np.arange(len(p.out_rows), dtype=np.int64)
-                         >= p.neg_groups)
-                for i, p in enumerate(plans)
-            ])
-            starts = []
-            lens = []
-            for p in plans:
-                ends = np.empty(len(p.out_rows), dtype=np.int64)
-                ends[:-1] = p.starts[1:]
-                ends[-1] = len(p.edges)
-                starts.append(p.lo + p.starts)
-                lens.append(ends - p.starts)
-            self.group_start = np.concatenate(starts)
-            self.group_len = np.concatenate(lens)
-        else:
-            self.all_edges = empty
-            self.all_sources = empty
-            self.group_out = empty
-            self.group_seg = empty
-            self.group_start = empty
-            self.group_len = empty
+        self.all_edges = all_edges
+        self.all_sources = all_sources
+        self.group_out = group_out
+        self.group_len = group_len
+        self.group_seg = group_seg
+        self.group_start = np.zeros(len(group_len), dtype=np.int64)
+        np.cumsum(group_len[:-1], out=self.group_start[1:])
+        self.steps = _plans(group_seg, group_len)
         self._edge_pos: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------------
     @property
     def val1(self) -> FrameValues:
         """Settled ``v1`` values by net name (a read-only view)."""
-        return FrameValues(self.values, self.compiled.net_rows, 0)
+        return FrameValues(self.values, self.rows.index, 0)
 
     @property
     def val2(self) -> FrameValues:
         """Settled ``v2`` values by net name (a read-only view)."""
-        return FrameValues(self.values, self.compiled.net_rows, 1)
+        return FrameValues(self.values, self.rows.index, 1)
 
     @property
     def n_groups(self) -> int:
@@ -517,12 +453,13 @@ class PatternSchedule:
 
     def restrict(
         self,
-        cones: Sequence[Sequence[str]],
+        cones: Sequence[np.ndarray],
         hits: Optional[Sequence[int]] = None,
         entries: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> _ConeSchedule:
-        """The schedule slices recomputing each of ``cones``, one copy per
-        cone, in one vectorized pass (see :class:`_ConeSchedule`).
+        """The schedule slices recomputing each of ``cones`` (net rows),
+        one copy per cone, in one vectorized pass (see
+        :class:`_ConeSchedule`).
 
         With ``hits`` (the edge that takes copy ``c``'s extra delay) and
         ``entries`` (the ``(copy, compact row)`` pairs its caller reads),
@@ -531,17 +468,12 @@ class PatternSchedule:
         Liveness is decided per copy, so a :meth:`_ConeSchedule.select`
         of some copies is exactly the cut of those copies alone.
         """
-        compiled = self.compiled
-        net_rows = compiled.net_rows
         n_groups = self.n_groups
         n_copies = len(cones)
         sizes = [len(cone) for cone in cones]
         # A transitioning gate's compact row is its group index, so a
         # copy's kept groups are its nets' compact rows below the zero row.
-        rows = np.fromiter(
-            (net_rows[net] for cone in cones for net in cone),
-            dtype=np.int64, count=sum(sizes),
-        )
+        rows = np.concatenate(cones) if cones else np.empty(0, np.int64)
         kept = np.zeros((n_copies, n_groups + 1), dtype=bool)
         kept[np.repeat(np.arange(n_copies), sizes),
              self.compact_rows[rows]] = True
@@ -571,7 +503,7 @@ class PatternSchedule:
         cone = _ConeSchedule(
             self.all_edges[take], sources, edge_copy,
             overlay_of[edge_copy, sources], copy, self.group_seg[group],
-            lens, self.group_out[group], overlay_of, compiled.net_names,
+            lens, self.group_out[group], overlay_of,
         )
         if hits is None or not n_kept:
             return cone
@@ -580,63 +512,32 @@ class PatternSchedule:
 
     # ------------------------------------------------------------------
     def __getstate__(self):
-        # The edge-position index is cheap to rebuild; keep worker
-        # pickles lean.
-        return (self.compiled, self.values, self.plans, self.compact_rows)
+        # The edge-position index and the steps are cheap to rebuild;
+        # keep worker pickles lean.
+        return (self.rows, self.values, self.compact_rows, self.all_edges,
+                self.all_sources, self.group_out, self.group_len,
+                self.group_seg)
 
     def __setstate__(self, state):
         self.__init__(*state)
 
 
 class CompiledCircuit:
-    """Flat-array lowering of a frozen :class:`Circuit` (pattern-free part).
+    """The kernel's view of a circuit: its row table plus the kernel's
+    extras — which rows are gates, and the circuit's pattern schedules,
+    cached LRU-bounded and keyed by the raw test-vector bytes.
 
-    Nets become rows (topological order); gates carry their fanin net rows,
-    the edge index of their first fanin pin (``circuit.edges`` order, so
-    edge ``(gate, pin)`` is ``fanin_base[row] + pin``), their controlling
-    value (-1 when none) and their topological level.  Pattern schedules
-    are cached here, LRU-bounded, keyed by the raw test-vector bytes.
+    Held by the circuit (:func:`compile_circuit`); holds no reference to
+    it, and its schedules hold only the table, so nothing here forms a
+    reference cycle.
     """
 
-    __slots__ = ("circuit", "net_rows", "net_names", "fanin_rows",
-                 "fanin_base", "controlling", "is_input", "level",
-                 "output_rows", "_schedule_cache")
+    __slots__ = ("rows", "is_gate", "_schedule_cache")
 
-    def __init__(self, circuit: Circuit) -> None:
-        self.circuit = circuit
-        order = circuit.topological_order
-        self.net_names: List[str] = list(order)
-        self.net_rows: Dict[str, int] = {
-            name: row for row, name in enumerate(order)
-        }
-        offsets = edge_offsets(circuit)
-        levels = circuit.levels
-        n = len(order)
-        self.fanin_rows: List[Tuple[int, ...]] = [()] * n
-        self.fanin_base = np.zeros(n, dtype=np.int64)
-        self.controlling = np.full(n, -1, dtype=np.int8)
-        self.is_input = np.zeros(n, dtype=bool)
-        self.level = np.zeros(n, dtype=np.int64)
-        for row, name in enumerate(order):
-            gate = circuit.gates[name]
-            self.fanin_rows[row] = tuple(
-                self.net_rows[fanin] for fanin in gate.fanins
-            )
-            self.fanin_base[row] = offsets[name]
-            controlling = CONTROLLING_VALUE[gate.gate_type]
-            if controlling is not None:
-                self.controlling[row] = controlling
-            self.is_input[row] = gate.gate_type is GateType.INPUT
-            self.level[row] = levels[name]
-        #: net row of each primary output, in ``circuit.outputs`` order.
-        self.output_rows = np.array(
-            [self.net_rows[net] for net in circuit.outputs], dtype=np.int64
-        )
+    def __init__(self, rows: RowTable) -> None:
+        self.rows = rows
+        self.is_gate = np.frombuffer(rows.opcodes, dtype=np.uint8) != OP_INPUT
         self._schedule_cache: "OrderedDict[bytes, PatternSchedule]" = OrderedDict()
-
-    @property
-    def n_nets(self) -> int:
-        return len(self.net_names)
 
     # ------------------------------------------------------------------
     def schedule_for(self, v1: np.ndarray, v2: np.ndarray) -> PatternSchedule:
@@ -659,102 +560,93 @@ class CompiledCircuit:
         return schedule
 
     def _build_schedule(self, v1: np.ndarray, v2: np.ndarray) -> PatternSchedule:
-        values = evaluate_two_frame(self.circuit, v1.tolist(), v2.tolist())
-        active = np.flatnonzero(_toggled(values) & ~self.is_input)
+        table = self.rows
+        values = evaluate_two_frame(table, v1.tolist(), v2.tolist())
+        active = np.flatnonzero(_toggled(values) & self.is_gate)
         # Stable sort keeps topological order within each level — not
         # required for correctness (levels are strict) but deterministic.
-        active = active[np.argsort(self.level[active], kind="stable")]
-
-        plans: List[_GroupPlan] = []
-        offset = 0
+        levels = table.levels
+        active = active[np.argsort(levels[active], kind="stable")]
+        opcodes = table.opcodes
+        fanins = table.fanins
+        fanin_starts = table.fanin_starts
+        # The group table in replay order: per level, min groups first
+        # (see _plans); sources as net rows until every group has its
+        # compact row.
+        group_out: List[int] = []
+        group_len: List[int] = []
+        group_seg: List[int] = []
+        edges: List[int] = []
+        sources: List[int] = []
+        active_levels = levels[active].tolist()
+        active = active.tolist()
         index = 0
-        n_active = len(active)
-        # Every active gate gets one compact row, in group order; every
-        # other net reads the shared zero row after them.  Sources sit at
-        # strictly lower levels, so their rows exist when a level maps them.
-        compact_rows = np.full(self.n_nets, n_active, dtype=np.int32)
-        while index < n_active:
-            current_level = self.level[active[index]]
-            builders = {True: ([], [], [], []), False: ([], [], [], [])}
-            while index < n_active and self.level[active[index]] == current_level:
-                row = int(active[index])
+        plan = 0
+        while index < len(active):
+            level = active_levels[index]
+            kinds: Tuple[List, List] = ([], [])  # (min, max) groups
+            while index < len(active) and active_levels[index] == level:
+                row = active[index]
                 index += 1
-                fanin_rows = self.fanin_rows[row]
-                base = int(self.fanin_base[row])
-                controlling = int(self.controlling[row])
+                fanin_rows = fanins[row]
+                controlling = _CONTROLLING[opcodes[row]]
                 pins = None
-                is_min = False
                 if controlling >= 0:
                     pins = [
                         pin for pin, src in enumerate(fanin_rows)
                         if values[src] >> 1 == controlling
                     ]
-                    is_min = bool(pins)
-                if not is_min:
-                    pins = [
-                        pin for pin, src in enumerate(fanin_rows)
-                        if _TOGGLES[values[src]]
-                    ]
-                    if not pins:
-                        # Mirror the reference fallback for degenerate
-                        # transitioning gates with no transitioning input.
-                        pins = list(range(len(fanin_rows)))
-                edges, starts, sources, out_rows = builders[is_min]
-                starts.append(len(edges))
-                edges.extend(base + pin for pin in pins)
-                sources.extend(fanin_rows[pin] for pin in pins)
-                out_rows.append(row)
-            # Fuse the level's min and max groups into one plan, min
-            # groups first: their rows/outputs are sign-flipped around a
-            # single maximum.reduceat (see _GroupPlan).
-            min_edges, min_starts, min_sources, min_outs = builders[True]
-            max_edges, max_starts, max_sources, max_outs = builders[False]
-            edges = min_edges + max_edges
-            starts = min_starts + [len(min_edges) + s for s in max_starts]
-            out_rows = np.asarray(min_outs + max_outs, dtype=np.int64)
-            row_lo = index - len(out_rows)
-            compact_rows[out_rows] = np.arange(
-                row_lo, index, dtype=np.int32
-            )
-            plans.append(_GroupPlan(
-                np.asarray(edges, dtype=np.int64),
-                np.asarray(starts, dtype=np.int64),
-                compact_rows[min_sources + max_sources],
-                out_rows,
-                offset,
-                row_lo,
-                len(min_edges),
-                len(min_outs),
-            ))
-            offset += len(edges)
-        return PatternSchedule(self, values, plans, compact_rows)
+                if pins:
+                    kinds[0].append((row, pins))
+                    continue
+                pins = [
+                    pin for pin, src in enumerate(fanin_rows)
+                    if _TOGGLES[values[src]]
+                ]
+                # Mirror the reference fallback for degenerate
+                # transitioning gates with no transitioning input.
+                kinds[1].append((row, pins or list(range(len(fanin_rows)))))
+            for is_max, kind in enumerate(kinds):
+                for row, pins in kind:
+                    base = fanin_starts[row]
+                    fanin_rows = fanins[row]
+                    group_out.append(row)
+                    group_len.append(len(pins))
+                    group_seg.append(2 * plan + is_max)
+                    edges.extend(base + pin for pin in pins)
+                    sources.extend(fanin_rows[pin] for pin in pins)
+            plan += 1
+        # Every active gate gets one compact row, in group order; every
+        # other net reads the shared zero row after them.
+        compact_rows = np.full(len(table), len(group_out), dtype=np.int32)
+        compact_rows[group_out] = np.arange(len(group_out), dtype=np.int32)
+        return PatternSchedule(
+            table, values, compact_rows,
+            np.array(edges, dtype=np.int64),
+            compact_rows[np.array(sources, dtype=np.int64)],
+            np.array(group_out, dtype=np.int64),
+            np.array(group_len, dtype=np.int64),
+            np.array(group_seg, dtype=np.int64),
+        )
 
-    # ------------------------------------------------------------------
-    def __getstate__(self):
+
+    def __reduce__(self):
         # The schedule cache can hold hundreds of unrelated patterns; a
         # worker only needs the schedules its shipped results reference
         # (pickle memoization carries those through TransitionSimResult).
-        return (self.circuit, self.net_rows, self.net_names, self.fanin_rows,
-                self.fanin_base, self.controlling, self.is_input, self.level,
-                self.output_rows)
-
-    def __setstate__(self, state):
-        (self.circuit, self.net_rows, self.net_names, self.fanin_rows,
-         self.fanin_base, self.controlling, self.is_input, self.level,
-         self.output_rows) = state
-        self._schedule_cache = OrderedDict()
+        return (CompiledCircuit, (self.rows,))
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Compile ``circuit`` (memoized: at most one compilation per circuit)."""
-    compiled = getattr(circuit, "_compiled_kernel", None)
+    """Compile ``circuit`` (memoized in its kernel slot: at most one
+    compilation per circuit)."""
+    compiled = circuit._kernel
     if compiled is None:
         recorder = obs.get_recorder()
         with recorder.span("kernel.compile"):
-            compiled = CompiledCircuit(circuit)
+            compiled = circuit._kernel = CompiledCircuit(circuit.rows)
         if recorder.enabled:
             recorder.count("kernel.compiles")
-        circuit._compiled_kernel = compiled  # type: ignore[attr-defined]
     return compiled
 
 
@@ -815,15 +707,16 @@ def simulate_transition_compiled(
             delays, schedule.all_edges,
             schedule.edge_pos if extra_delay else {}, extra_delay,
         )
-        for plan in schedule.plans:
-            rows = stable[plan.sources] + dl[plan.lo : plan.hi]
-            if plan.neg_rows:
-                seg = rows[: plan.neg_rows]
+        sources = schedule.all_sources
+        for s, e, lo, hi, starts, neg_rows, neg_groups in schedule.steps:
+            rows = stable[sources[lo:hi]] + dl[lo:hi]
+            if neg_rows:
+                seg = rows[:neg_rows]
                 np.negative(seg, out=seg)
-            out = stable[plan.row_lo : plan.row_hi]
-            np.maximum.reduceat(rows, plan.starts, axis=0, out=out)
-            if plan.neg_groups:
-                seg = out[: plan.neg_groups]
+            out = stable[s:e]
+            np.maximum.reduceat(rows, starts, axis=0, out=out)
+            if neg_groups:
+                seg = out[:neg_groups]
                 np.negative(seg, out=seg)
 
     recorder = obs.get_recorder()
@@ -837,7 +730,7 @@ def simulate_transition_compiled(
         v2,
         schedule.val1,
         schedule.val2,
-        StableTimes(stable, compiled.net_rows, schedule.compact_rows),
+        StableTimes(stable, schedule.rows.index, schedule.compact_rows),
         width,
         sample_index,
         kernel_state=schedule,
@@ -907,28 +800,24 @@ def resimulate_with_extra_compiled(
             recorder.count("kernel.replays_skipped")
         return base
     timing = base.timing
-    circuit = timing.circuit
-
+    table = schedule.rows
+    # The one name -> row translation of a replay.
     if affected is None:
-        affected = set()
-        edges = circuit.edges
-        for edge_index in extra_delay:
-            affected.update(circuit.fanout_cone(edges[edge_index].sink))
-        if not affected:
-            return base
-        affected = frozenset(affected)
-    elif not affected:
-        return base
-    elif not hasattr(affected, "__len__"):
-        affected = set(affected)
-        if not affected:
+        edges = timing.circuit.edges
+        affected_rows = np.unique(np.concatenate([
+            table.cone(table.index[edges[edge_index].sink])
+            for edge_index in extra_delay
+        ]))
+    else:
+        affected_rows = table.rows_of(affected)
+        if not affected_rows.size:
             return base
     if recorder.enabled:
         recorder.count("dynamic.resimulations")
-        recorder.count("dynamic.nets_recomputed", len(affected))
+        recorder.count("dynamic.nets_recomputed", len(affected_rows))
         recorder.count("kernel.cone_schedules")
 
-    cone = schedule.restrict([affected])
+    cone = schedule.restrict([affected_rows])
     overlay = np.empty((cone.n_overlay, base.width))
     if cone.n_overlay:
         dl = _replay_delays(base)[cone.edges]
@@ -943,7 +832,9 @@ def resimulate_with_extra_compiled(
         if recorder.enabled:
             recorder.count("kernel.reductions", len(cone.edges))
 
-    stable = ConeStableTimes(base_stable, overlay, cone.overlay_rows)
+    overlay_of = np.full(len(table), -1, dtype=np.int64)
+    overlay_of[cone.out_rows] = np.arange(cone.n_overlay)
+    stable = ConeStableTimes(base_stable, overlay, overlay_of)
     # ``kernel_state`` stays None: a replay of a replay would need the
     # overlay folded back into a full matrix, so it raises TypeError in
     # ``_compiled_parts`` instead of dropping this replay's extra delay.
@@ -964,7 +855,9 @@ class ConeReplay:
 
     Copy ``c`` adds a size vector to edge ``edge_indices[c]`` and
     recomputes (the live part of) ``cones[c]``; :meth:`replay` returns the
-    settle rows of every ``nets[c]``, stacked in copy order.  Every copy
+    settle rows of every ``nets[c]``, stacked in copy order.  Cones and
+    nets are int arrays of net rows (:func:`repro.timing.dynamic.prepare_cones`
+    takes them by name).  Every copy
     is restricted in one :meth:`PatternSchedule.restrict` call when the
     object is built, cut to the gates that the copy's edge reaches and
     that reach one of its ``nets`` (a cut gate equals its base row or is
@@ -993,11 +886,10 @@ class ConeReplay:
         self,
         base: TransitionSimResult,
         edge_indices: Sequence[int],
-        cones: Sequence[Sequence[str]],
-        nets: Sequence[Sequence[str]],
+        cones: Sequence[np.ndarray],
+        nets: Sequence[np.ndarray],
     ) -> None:
         schedule, base_stable = _compiled_parts(base)
-        net_rows = schedule.compiled.net_rows
         # Only index tables are kept: a column's copies can hold megabytes
         # of delay and settle rows, gathered again per replay instead.
         self.base_matrix = base_stable.matrix
@@ -1007,10 +899,9 @@ class ConeReplay:
         # Compact row of every requested (copy, net) entry, copy-major;
         # every entry starts from its base row and recomputed ones are
         # overwritten.
-        self.entry_rows = schedule.compact_rows[np.fromiter(
-            (net_rows[net] for group in nets for net in group),
-            dtype=np.int64, count=int(self.counts.sum()),
-        )]
+        self.entry_rows = schedule.compact_rows[
+            np.concatenate(nets) if nets else np.empty(0, np.int64)
+        ]
         # A copy whose edge is not a candidate pin replays to the base rows
         # (see resimulate_with_extra_compiled); so does an empty cone.
         edge_pos = schedule.edge_pos

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..circuits.library import GateType
 from ..circuits.netlist import Circuit
+from .dynamic import edge_offsets
 from .instance import CircuitTiming
 from .randvars import RandomVariable
 
@@ -61,12 +62,7 @@ def analyze(timing: CircuitTiming, extra_delay: Optional[Dict[int, np.ndarray]] 
     """
     circuit = timing.circuit
     delays = timing.delays
-    edge_offset: Dict[str, int] = {}
-    offset = 0
-    # circuit.edges is ordered by (topological sink, pin): precompute offsets.
-    for name in circuit.topological_order:
-        edge_offset[name] = offset
-        offset += len(circuit.gates[name].fanins)
+    edge_offset = edge_offsets(circuit)
 
     arrivals: Dict[str, np.ndarray] = {}
     zeros = np.zeros(timing.space.n_samples)

@@ -47,6 +47,12 @@ COUNTERS = (
 )
 
 
+def _names(circuit, rows):
+    """Net names of the net rows of a builder plan."""
+    order = circuit.topological_order
+    return [order[row] for row in rows]
+
+
 def _rows(stable, nets):
     take = getattr(stable, "take_rows", None)
     if take is not None:
@@ -71,6 +77,7 @@ def _loop_signatures(timing, sims, clocks, suspects, sizes,
     signatures = []
     for edge in suspects:
         cone, activity = plans[edge.sink]
+        cone = _names(circuit, cone)
         signature = np.zeros(m_crt.shape)
         for column, rows, nets in activity:
             stacked = _rows(
@@ -78,7 +85,7 @@ def _loop_signatures(timing, sims, clocks, suspects, sizes,
                     sims[column], {timing.edge_index[edge]: sizes},
                     affected=cone,
                 ).stable,
-                nets,
+                _names(circuit, nets),
             )
             for block, clk in enumerate(clocks):
                 col = block * n_patterns + column
@@ -104,7 +111,8 @@ def _column_copies(timing, sims, clocks, suspects, sizes):
         cone, activity = plans[edge.sink]
         for column, _rows, nets in activity:
             copies.setdefault(column, []).append(
-                (timing.edge_index[edge], cone, nets)
+                (timing.edge_index[edge], _names(circuit, cone),
+                 _names(circuit, nets))
             )
     return copies
 
@@ -342,16 +350,19 @@ class TestRestriction:
                 for edge in schedule.all_edges[::3]
             ]
             # A repeated cone and an empty one ride along.
-            cones = [circuit.fanout_cone(sink) for sink in sinks]
-            cones += [cones[0], []]
+            rows = circuit.rows
+            cones = [rows.cone(rows.index[sink]) for sink in sinks]
+            cones += [cones[0], np.empty(0, dtype=np.int64)]
             batch = schedule.restrict(cones)
             for copy, cone in enumerate(cones):
                 single = schedule.restrict([cone])
                 assert _flatten(batch, copy) == _flatten(single, 0)
-                assert single.out_rows.tolist() == [
-                    circuit.topological_index[net]
-                    for net in single.overlay_rows
-                ]
+                # One copy recomputes its cone's transitioning gates in
+                # replay order.
+                assert sorted(single.out_rows.tolist()) == sorted(
+                    row for row in cone.tolist()
+                    if schedule.compact_rows[row] < schedule.n_groups
+                )
                 checked += bool(single.n_overlay)
         assert checked > 8
 
@@ -363,7 +374,7 @@ def _kept_pairs(prepared):
         return set()
     replayed = np.flatnonzero(prepared.slot >= 0)
     return {
-        (int(replayed[copy]), cone.net_names[int(row)])
+        (int(replayed[copy]), int(row))
         for copy, row in zip(cone.pair_copy, cone.out_rows)
     }
 
@@ -398,6 +409,7 @@ class TestLiveCut:
         timing, _patterns, sims, clocks, suspects, sizes = chip[:6]
         rng = np.random.default_rng(11)
         columns = _column_copies(timing, sims, clocks, suspects, sizes)
+        rows = timing.circuit.rows
         cut = 0
         for column, copies in columns.items():
             edges, cones, nets = zip(*copies)
@@ -406,7 +418,7 @@ class TestLiveCut:
             expected = set()
             for copy, (edge, cone, group) in enumerate(copies):
                 live, _n_edges = live_gates(sim, edge, cone, group)
-                expected.update((copy, net) for net in live)
+                expected.update((copy, rows.index[net]) for net in live)
             assert _kept_pairs(prepared) == expected
             # One size row per copy; the uncut per-copy loop replays each
             # whole cone.
@@ -419,7 +431,7 @@ class TestLiveCut:
             ])
             assert prepared.replay(draws).tobytes() == uncut.tobytes()
             cut += sum(
-                len(sim.kernel_state.restrict([cone]).edges)
+                len(sim.kernel_state.restrict([rows.rows_of(cone)]).edges)
                 for cone in cones
             ) - (0 if prepared.cone is None else len(prepared.cone.edges))
         assert len(columns) > 1 and max(map(len, columns.values())) > 1

@@ -143,9 +143,19 @@ def _plans(case):
     circuit = timing.circuit
     transitioned = _transition_matrix(circuit, sims)
     m_crt, live = _output_thresholds(circuit, sims, transitioned, clocks, None)
-    return m_crt, _sink_plans(
+    plans = _sink_plans(
         circuit, transitioned, live, {edge.sink for edge in case["suspects"]}
     )
+    # The plans hold net rows; the loops below walk net names.
+    order = circuit.topological_order
+    return m_crt, {
+        sink: (
+            [order[row] for row in cone],
+            [(column, rows, [order[row] for row in nets])
+             for column, rows, nets in activity],
+        )
+        for sink, (cone, activity) in plans.items()
+    }
 
 
 def _cut_reductions(case, report):

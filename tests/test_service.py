@@ -11,6 +11,7 @@ errors, bounded-queue backpressure, and request timeouts.
 import asyncio
 import dataclasses
 import json
+import logging
 import threading
 import time
 from contextlib import contextmanager
@@ -319,6 +320,32 @@ class TestServer:
         for per_client in asyncio.run(scenario()):
             for index, ranking in per_client:
                 assert ranking == reference[index]
+
+    def test_stop_with_open_connection_logs_no_error(
+        self, workload_and_model, caplog
+    ):
+        """A handler that ``stop()`` cancels ends quietly: asyncio logs no
+        error for the connection that was still open."""
+        workload, _model = workload_and_model
+        service = _service(workload)
+
+        async def scenario():
+            server = DiagnosisServer(service, ServerConfig(port=0))
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(b'{"op": "ping", "id": 1}\n')
+            await writer.drain()
+            assert json.loads(await reader.readline())["ok"]
+            await server.stop()
+            writer.close()
+            await asyncio.sleep(0.05)
+
+        with caplog.at_level(logging.ERROR):
+            asyncio.run(scenario())
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert not errors, [r.getMessage() for r in errors]
 
     def test_wire_roundtrip_and_typed_errors(
         self, workload_and_model, behaviors
